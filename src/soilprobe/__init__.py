@@ -27,7 +27,7 @@ from .contact import (
     environment_force,
     robot_step,
 )
-from .geometry import Point3, RigidTransform, compose, transform_point
+from .geometry import Point3
 from .ground import (
     Bin,
     BinningSchedule,
@@ -40,7 +40,6 @@ from .ground import (
     fit_plane_ransac,
     refine_ground_band,
     refinement_history,
-    save_estimate,
     score_bin,
 )
 from .impedance import (

@@ -6,6 +6,9 @@ Subcommands:
   pipeline  scene -> detection -> contact scenario, end to end
   bench     repeated seeded runs -> dispersion statistics
 
+A flag given on the command line, as `--seed 3` or `--seed=3`, beats the
+same key in the --config file, and the file beats the built-in default.
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime or model error.
 Diagnostics go to stderr; data goes to files or stdout.
 """
@@ -13,11 +16,12 @@ Diagnostics go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .cloud import load_cloud
-from .config import ConfigError, load_scenario_config, parse_key_values
+from .config import ConfigError, load_scenario_config, read_config
 from .ground import detect_ground, estimate_to_text
 from .scenario import (
     ScenarioConfig,
@@ -37,36 +41,19 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _apply_flag_config(args: argparse.Namespace, keys: dict[str, type]) -> None:
-    """Fill unset flags from the command's key=value config file.
+def _fill_from_config(args: argparse.Namespace, types: dict[str, type], **defaults) -> None:
+    """Fill each flag left unset from the --config file, else from `defaults`.
 
-    Flags that were given on the command line keep their values; the file
-    only supplies the rest.  Unknown keys are rejected by name.
+    `types` maps the keys the command's file accepts to their value types.
+    A flag given on the command line, in either spelling, keeps its value.
     """
-    if not getattr(args, "config", None):
-        return
-    raw = parse_key_values(Path(args.config).read_text())
-    for key, value in raw.items():
-        if key not in keys:
-            raise ConfigError(f"unknown config key: '{key}'")
-        if key in args._explicit:
-            continue
-        target = keys[key]
-        if target is bool:
-            if value.lower() in ("true", "1", "yes"):
-                parsed = True
-            elif value.lower() in ("false", "0", "no"):
-                parsed = False
-            else:
-                raise ConfigError(f"invalid value for '{key}': {value!r}")
-        elif target is int:
-            try:
-                parsed = int(value)
-            except ValueError:
-                raise ConfigError(f"invalid value for '{key}': {value!r}") from None
-        else:
-            parsed = value
-        setattr(args, key, parsed)
+    given = read_config(Path(args.config).read_text(), types) if args.config else {}
+    if given.get("scenario") not in (None, *SCENARIO_CHOICES):
+        raise ConfigError(f"invalid value for 'scenario': {given['scenario']!r} "
+                          f"(choose from {', '.join(SCENARIO_CHOICES)})")
+    for key in types:
+        if getattr(args, key) is None:
+            setattr(args, key, given.get(key, defaults.get(key)))
 
 
 def _load_scene(args: argparse.Namespace):
@@ -88,6 +75,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    _fill_from_config(args, {"input": str, "seed": int, "out": str}, seed=0)
     cloud, _ = _load_scene(args)
     est = detect_ground(cloud, scene_bounds(), seed=args.seed)
     _info(f"plane fit with {est.plane.inlier_count} inliers")
@@ -97,20 +85,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_from_args(args: argparse.Namespace, overrides: dict) -> ScenarioConfig:
+def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
+    """The --config file's scenario, else a preset, with the given flags
+    applied over it."""
+    flags = {key: getattr(args, key) for key in ("scenario", "seed")
+             if getattr(args, key) is not None}
     if args.config:
-        return load_scenario_config(args.config, **overrides)
-    kind = args.scenario or "custom"
-    return scenario_preset(kind, **overrides)
+        return load_scenario_config(args.config, **flags)
+    return scenario_preset(flags.pop("scenario", "custom"), **flags)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.scenario and args.config:
-        overrides["scenario"] = args.scenario
-    if "seed" in args._explicit:
-        overrides["seed"] = args.seed
-    cfg = _scenario_from_args(args, overrides)
+    cfg = _scenario_config(args)
     trace = run_scenario(cfg)
     if trace.failed:
         _info(f"run failed: {trace.failure_reason} (trace truncated at {len(trace)} samples)")
@@ -124,6 +110,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
+    _fill_from_config(args, {"input": str, "seed": int, "scenario": str, "out_dir": str},
+                      seed=0, scenario="moist", out_dir="pipeline_out")
     cloud, truth = _load_scene(args)
     est = detect_ground(cloud, scene_bounds(), seed=args.seed)
     _info(f"detected soil plane: z={est.center.z:.4f} m, {est.plane.inlier_count} inliers")
@@ -132,9 +120,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     # larger values penetrate deeper, so surfaces map through a sign flip
     detected_depth = -est.z_at(est.approach.x, est.approach.y)
     true_depth = -truth.center.z if truth is not None else detected_depth
-    kind = args.scenario or "moist"
     cfg = scenario_preset(
-        kind,
+        args.scenario,
         seed=args.seed,
         surface_true=true_depth,
         surface_detected=detected_depth,
@@ -153,13 +140,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.scenario and args.config:
-        overrides["scenario"] = args.scenario
+    base = _scenario_config(args)
     traces = []
     failures = 0
     for i in range(args.repeats):
-        cfg = _scenario_from_args(args, dict(overrides, seed=args.seed + i))
+        cfg = dataclasses.replace(base, seed=base.seed + i)
         trace = run_scenario(cfg)
         if trace.failed:
             failures += 1
@@ -172,62 +157,52 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 2
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Remembers which destinations were set explicitly on the command
-    line, so config files can fill only the unset ones."""
-
-    def parse_args(self, argv=None, namespace=None):  # type: ignore[override]
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        for action in self._subparsers._group_actions[0].choices.values() if self._subparsers else []:
-            for sub_action in action._actions:
-                for opt in sub_action.option_strings:
-                    if opt in argv:
-                        explicit.add(sub_action.dest)
-        args._explicit = explicit
-        return args
+def _repeat_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _TrackingParser(prog="soilprobe", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="soilprobe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, scene=False, scenario=False):
-        p.add_argument("--seed", type=int, default=0, help="seed for generation and fitting")
+        p.add_argument("--seed", type=int,
+                       help="seed for generation and fitting (default: the config file's, else 0)")
         p.add_argument("--config", help="key=value config file (flags override)")
         if scene:
             p.add_argument("--input", help="point-cloud text file (x,y,z per line)")
-            p.add_argument("--generate", action="store_true",
-                           help="use a generated pot scene (default when --input absent)")
         if scenario:
             p.add_argument("--scenario", choices=SCENARIO_CHOICES, help="scenario preset")
 
     p = sub.add_parser("detect", help="estimate the soil surface from a point cloud")
     add_common(p, scene=True)
     p.add_argument("--out", help="estimate record path (default: stdout)")
-    p.set_defaults(func=cmd_detect, _config_keys={"input": str, "generate": bool,
-                                                  "seed": int, "out": str})
+    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("simulate", help="run one contact scenario")
     add_common(p, scenario=True)
     p.add_argument("--out", help="trace CSV path (default: stdout)")
     p.add_argument("--summary", help="summary block path")
-    p.set_defaults(func=cmd_simulate, _config_keys=None)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="scene -> detection -> contact scenario")
     add_common(p, scene=True, scenario=True)
-    p.add_argument("--out-dir", default="pipeline_out", dest="out_dir",
-                   help="directory for estimate/trace/summary artifacts")
-    p.set_defaults(func=cmd_pipeline, _config_keys={"input": str, "generate": bool,
-                                                    "seed": int, "scenario": str,
-                                                    "out_dir": str})
+    p.add_argument("--out-dir", dest="out_dir",
+                   help="directory for estimate/trace/summary artifacts (default: pipeline_out)")
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("bench", help="repeat a scenario across seeds and summarize")
     add_common(p, scenario=True)
-    p.add_argument("--repeats", type=int, default=5, help="number of seeded repetitions")
+    p.add_argument("--repeats", type=_repeat_count, default=5,
+                   help="number of seeded repetitions")
     p.add_argument("--out", help="statistics path (default: stdout)")
-    p.set_defaults(func=cmd_bench, _config_keys=None)
+    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -238,8 +213,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args._config_keys is not None:
-            _apply_flag_config(args, args._config_keys)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -3,35 +3,28 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .geometry import Point3, RigidTransform
+from .geometry import Point3
 
 
 class PointCloud:
     """An ordered collection of 3-D points backed by an (N, 3) float array."""
 
-    def __init__(self, points, frame: str | None = None):
+    def __init__(self, points):
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             pts = pts.reshape(0, 3)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected an (N, 3) array, got shape {pts.shape}")
         self.points = pts
-        self.frame = frame
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def __getitem__(self, i: int) -> Point3:
         return Point3.from_array(self.points[i])
-
-    @staticmethod
-    def from_points(points: Iterable[Point3], frame: str | None = None) -> "PointCloud":
-        rows = [(p.x, p.y, p.z) for p in points]
-        return PointCloud(np.array(rows, dtype=float).reshape(len(rows), 3), frame=frame)
 
     @property
     def x(self) -> np.ndarray:
@@ -49,15 +42,12 @@ class PointCloud:
         return np.all(np.isfinite(self.points), axis=1)
 
     def select(self, index) -> "PointCloud":
-        return PointCloud(self.points[index], frame=self.frame)
+        return PointCloud(self.points[index])
 
     def sort_by_z(self) -> "PointCloud":
         """Return a copy ordered by ascending z; NaN points go last."""
         order = np.argsort(self.points[:, 2], kind="stable")
         return self.select(order)
-
-    def transformed(self, transform: RigidTransform) -> "PointCloud":
-        return PointCloud(transform.apply(self.points), frame=self.frame)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,13 @@ silently falls back to a default.
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 
 from .scenario import ScenarioConfig, scenario_preset
+
+
+# the keys a scenario config file accepts, each with the type of its value
+_SCENARIO_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
 class ConfigError(ValueError):
@@ -54,21 +58,23 @@ def _convert(key: str, value: str, target_type: type):
         raise ConfigError(f"invalid value for '{key}': {value!r}") from None
 
 
+def read_config(text: str, types: dict[str, type]) -> dict:
+    """Parse config text into typed values, one type per accepted key.
+
+    Unknown keys and values that do not convert are rejected by name.
+    """
+    out = {}
+    for key, value in parse_key_values(text).items():
+        if key not in types:
+            raise ConfigError(f"unknown config key: '{key}'")
+        out[key] = _convert(key, value, types[key])
+    return out
+
+
 def scenario_config_from_text(text: str, **overrides) -> ScenarioConfig:
     """Build a ScenarioConfig from config-file text plus keyword overrides
     (command-line flags take precedence over the file)."""
-    raw = parse_key_values(text)
-    field_types = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
-    # dataclass field annotations are strings under `from __future__ import
-    # annotations`; map them back to types
-    type_names = {"float": float, "int": int, "bool": bool, "str": str}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in field_types:
-            raise ConfigError(f"unknown config key: '{key}'")
-        annotation = field_types[key]
-        target = type_names.get(annotation, str) if isinstance(annotation, str) else annotation
-        kwargs[key] = _convert(key, value, target)
+    kwargs = read_config(text, _SCENARIO_TYPES)
     kwargs.update(overrides)
     kind = kwargs.pop("scenario", "custom")
     try:

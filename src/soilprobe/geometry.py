@@ -1,13 +1,8 @@
-"""3-D points and rigid transforms for the sensing pipeline."""
+"""3-D points for the sensing pipeline."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
-
-_ROTATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -18,74 +13,6 @@ class Point3:
     y: float
     z: float
 
-    @property
-    def valid(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     @staticmethod
     def from_array(a) -> "Point3":
         return Point3(float(a[0]), float(a[1]), float(a[2]))
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation + translation, applied as R @ p + t.
-
-    The rotation must be orthonormal with determinant +1 (checked on
-    construction to within 1e-9).
-    """
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        tr = np.asarray(self.translation, dtype=float).reshape(3)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tr)
-        if not np.all(np.isfinite(rot)) or not np.all(np.isfinite(tr)):
-            raise ValueError("transform contains non-finite entries")
-        if np.max(np.abs(rot @ rot.T - np.eye(3))) > _ROTATION_TOL:
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > _ROTATION_TOL:
-            raise ValueError("rotation determinant is not +1")
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_translation(t) -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.asarray(t, dtype=float))
-
-    @staticmethod
-    def rotation_z(angle: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        c, s = math.cos(angle), math.sin(angle)
-        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return RigidTransform(rot, np.asarray(translation, dtype=float))
-
-    def inverse(self) -> "RigidTransform":
-        rot_inv = self.rotation.T
-        return RigidTransform(rot_inv, -rot_inv @ self.translation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform an (N, 3) array of points. NaN rows stay NaN."""
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
-
-
-def transform_point(transform: RigidTransform, p: Point3) -> Point3:
-    """Map a point through a rigid transform; NaN inputs propagate to NaN."""
-    out = transform.rotation @ p.as_array() + transform.translation
-    return Point3.from_array(out)
-
-
-def compose(first: RigidTransform, second: RigidTransform) -> RigidTransform:
-    """Transform equivalent to applying `second`, then `first`."""
-    return RigidTransform(
-        first.rotation @ second.rotation,
-        first.rotation @ second.translation + first.translation,
-    )

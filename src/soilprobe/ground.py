@@ -300,8 +300,3 @@ def estimate_to_text(est: GroundEstimate) -> str:
         f"inlier_count={est.plane.inlier_count}",
     ]
     return "\n".join(lines) + "\n"
-
-
-def save_estimate(est: GroundEstimate, path) -> None:
-    with open(path, "w") as f:
-        f.write(estimate_to_text(est))

@@ -12,7 +12,6 @@ from soilprobe.cloud import (
     save_cloud,
     workspace_filter,
 )
-from soilprobe.geometry import Point3, RigidTransform
 
 BOUNDS = WorkspaceBounds(x_min=-0.2, x_max=0.2, y_max=0.2, z_table=0.0, pot_height=0.12, margin=0.05)
 
@@ -33,13 +32,6 @@ def test_cloud_accessors_and_indexing():
     assert (p.x, p.y, p.z) == (4.0, 5.0, 6.0)
 
 
-def test_from_points_roundtrip():
-    pts = [Point3(0.1, 0.2, 0.3), Point3(-0.1, 0.0, 0.05)]
-    cloud = PointCloud.from_points(pts)
-    assert len(cloud) == 2
-    assert cloud[0].x == 0.1 and cloud[1].z == 0.05
-
-
 def test_valid_mask_flags_nan_rows():
     cloud = PointCloud([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
     assert np.array_equal(cloud.valid_mask(), [True, False, False])
@@ -50,12 +42,6 @@ def test_sort_by_z_is_stable_ascending():
     ordered = cloud.sort_by_z()
     assert np.array_equal(ordered.z, [0.1, 0.2, 0.3])
     assert np.array_equal(ordered.x, [1.0, 2.0, 0.0])
-
-
-def test_transformed_applies_rigid_transform():
-    cloud = PointCloud([[0.1, 0.0, 0.0]])
-    moved = cloud.transformed(RigidTransform.from_translation([0.0, 0.0, 1.0]))
-    assert moved[0].z == 1.0
 
 
 def test_workspace_filter_keeps_strict_interior():
