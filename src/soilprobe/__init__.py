@@ -4,10 +4,9 @@ compliant force control with on-line stiffness estimation."""
 from .adaptation import (
     AdaptationParams,
     AdaptationState,
-    ComplianceEstimate,
     adaptation_step,
-    compliance_estimate,
     position_reference,
+    stiffness_estimate,
 )
 from .cloud import (
     PointCloud,
@@ -29,7 +28,6 @@ from .contact import (
 )
 from .geometry import Point3
 from .ground import (
-    Bin,
     BinningSchedule,
     GroundEstimate,
     PlaneModel,

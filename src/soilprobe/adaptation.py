@@ -27,13 +27,18 @@ stiffness).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .impedance import ImpedanceParams
 
 COMPLIANCE_FLOOR = 1e-7  # m/N below which the contact is reported as rigid
+
+
+def stiffness_estimate(kappa: float) -> float:
+    """Guarded reciprocal of a compliance estimate: 1/kappa, or +inf when
+    the contact is effectively rigid (kappa at or below the floor)."""
+    return 1.0 / kappa if kappa > COMPLIANCE_FLOOR else math.inf
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,8 @@ def adaptation_step(
     kappa = state.kappa + dt * rate
     if kappa < 0.0:
         kappa = 0.0
-    if not all(np.isfinite(v) for v in (kappa, rate, accel, error_lp, q_lp)):
+    if not (math.isfinite(kappa) and math.isfinite(rate) and math.isfinite(accel)
+            and math.isfinite(error_lp) and math.isfinite(q_lp)):
         raise RuntimeError("adaptation diverged")
     return AdaptationState(kappa, rate, accel, error_lp, q_lp)
 
@@ -134,25 +140,3 @@ def position_reference(kappa: float, f_desired: float, x_surface: float) -> floa
     """Reference position for the impedance filter: the detected surface
     plus the compliance-scaled force setpoint."""
     return kappa * f_desired + x_surface
-
-
-@dataclass(frozen=True)
-class ComplianceEstimate:
-    """Compliance (m/N) with its guarded reciprocal; stiffness is None when
-    the contact is effectively rigid (compliance at or below the floor)."""
-
-    compliance: float
-    stiffness: float | None
-
-    @property
-    def is_rigid(self) -> bool:
-        return self.stiffness is None
-
-
-def compliance_estimate(state: AdaptationState, floor: float = COMPLIANCE_FLOOR) -> ComplianceEstimate:
-    """Read the current compliance/stiffness estimate out of the adaptation
-    state, flagging near-zero compliance as rigid instead of dividing."""
-    kappa = float(state.kappa)
-    if kappa > floor:
-        return ComplianceEstimate(kappa, 1.0 / kappa)
-    return ComplianceEstimate(kappa, None)

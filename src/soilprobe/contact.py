@@ -58,8 +58,8 @@ class SensorState:
     def read(self, f_true: float, dt: float) -> float:
         m = self.model
         step = self.rng.uniform(-1.0, 1.0) * m.bias_drift_rate * dt
-        self.bias = float(np.clip(self.bias + step, -m.bias_amplitude, m.bias_amplitude))
-        white = float(np.clip(self.rng.standard_normal(), -4.0, 4.0)) * m.white_noise_std
+        self.bias = min(max(self.bias + step, -m.bias_amplitude), m.bias_amplitude)
+        white = min(max(self.rng.standard_normal(), -4.0), 4.0) * m.white_noise_std
         return f_true + self.bias + white
 
 

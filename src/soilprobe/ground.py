@@ -38,43 +38,22 @@ class BinningSchedule:
         return out
 
 
-@dataclass(frozen=True)
-class Bin:
-    """One z-interval of a binned cloud with the indices of its members."""
+def bin_points(z: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Split z values into contiguous bins of width dz.
 
-    z_lo: float
-    z_hi: float
-    members: np.ndarray  # indices into the cloud that was binned
-
-    @property
-    def count(self) -> int:
-        return int(self.members.size)
-
-
-def bin_points(cloud: PointCloud, dz: float) -> list[Bin]:
-    """Split a z-sorted cloud into contiguous bins of width dz.
-
-    Bins are anchored at the cloud's minimum z; the last bin may be shorter.
-    Every point lands in exactly one bin.
+    Bins are anchored at the minimum z; the last bin may be shorter.
+    Returns (idx, counts): the bin of every point, and the population of
+    every bin, lowest z first.
     """
-    if len(cloud) == 0:
+    z = np.asarray(z, dtype=float)
+    if z.size == 0:
         raise ValueError("no points to bin")
     if dz <= 0:
         raise ValueError("dz must be positive")
-    z = cloud.z
     z_min = float(z.min())
-    z_max = float(z.max())
-    n_bins = max(1, math.ceil((z_max - z_min) / dz))
+    n_bins = max(1, math.ceil((float(z.max()) - z_min) / dz))
     idx = np.minimum(np.floor((z - z_min) / dz).astype(int), n_bins - 1)
-    bins = []
-    for i in range(n_bins):
-        lo = z_min + i * dz
-        if i < n_bins - 1:
-            hi = lo + dz
-        else:
-            hi = z_max if z_max > lo else lo + dz
-        bins.append(Bin(lo, hi, np.flatnonzero(idx == i)))
-    return bins
+    return idx, np.bincount(idx, minlength=n_bins)
 
 
 def score_bin(prev_count: int, cur_count: int, next_count: int) -> float:
@@ -89,17 +68,11 @@ def score_bin(prev_count: int, cur_count: int, next_count: int) -> float:
     return (s1 + s2) / 2.0
 
 
-def _best_bin(bins: list[Bin]) -> Bin:
-    # Ties go to the lowest-z bin: the soil is the lowest dominant surface.
-    best = None
-    best_score = -1.0
-    for i, b in enumerate(bins):
-        prev_count = bins[i - 1].count if i > 0 else 0
-        next_count = bins[i + 1].count if i < len(bins) - 1 else 0
-        s = score_bin(prev_count, b.count, next_count)
-        if s > best_score:
-            best, best_score = b, s
-    return best
+def _best_bin(counts: np.ndarray) -> int:
+    # Ties go to the lowest-z bin (argmax keeps the first maximum): the soil
+    # is the lowest dominant surface.
+    padded = np.concatenate(([0], counts, [0]))
+    return int(np.argmax(score_bin(padded[:-2], counts, padded[2:])))
 
 
 def refinement_history(cloud: PointCloud, sched: BinningSchedule = BinningSchedule()) -> list[np.ndarray]:
@@ -115,14 +88,12 @@ def refinement_history(cloud: PointCloud, sched: BinningSchedule = BinningSchedu
     kept = np.arange(len(cloud))
     history = []
     for dz in sched.widths():
-        subset = cloud.select(kept).sort_by_z()
-        bins = bin_points(subset, dz)
-        best = _best_bin(bins)
-        member_z = subset.z[best.members]
+        z = cloud.z[kept]
+        idx, counts = bin_points(z, dz)
+        member_z = z[idx == _best_bin(counts)]
         z_lo = float(member_z.min()) - dz / 2.0
         z_hi = float(member_z.max()) + dz / 2.0
-        z_all = cloud.z[kept]
-        kept = kept[(z_all > z_lo) & (z_all < z_hi)]
+        kept = kept[(z > z_lo) & (z < z_hi)]
         history.append(kept)
     return history
 

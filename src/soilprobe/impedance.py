@@ -6,15 +6,13 @@ trajectories:
 
     m (xdd_c - xdd_r) + b (xd_c - xd_r) + k (x_c - x_r) = e
 
-All quantities are per-axis scalars; passing numpy arrays runs independent
-channels elementwise.
+All quantities are scalars of one axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,9 +29,7 @@ class ImpedanceParams:
     stiffness: float = 400.0
 
     def __post_init__(self):
-        if not (np.all(np.asarray(self.mass) > 0)
-                and np.all(np.asarray(self.damping) > 0)
-                and np.all(np.asarray(self.stiffness) > 0)):
+        if not (self.mass > 0 and self.damping > 0 and self.stiffness > 0):
             raise ValueError("impedance parameters must be strictly positive")
 
 
@@ -85,7 +81,7 @@ def impedance_step(
     ) / params.mass
     vel = state.velocity + dt * acc
     pos = state.position + dt * vel
-    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+    if not (math.isfinite(pos) and math.isfinite(vel)):
         raise RuntimeError("filter diverged")
     return ImpedanceState(pos, vel, acc)
 

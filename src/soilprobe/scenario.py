@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import (
-    COMPLIANCE_FLOOR,
     AdaptationParams,
     AdaptationState,
     adaptation_step,
     position_reference,
+    stiffness_estimate,
 )
 from .contact import (
     EnvironmentModel,
@@ -193,7 +193,7 @@ class SimTrace:
         out["steady_state_error"] = float(abs_e[-tail:].max())
         kappa_final = float(self.kappa[-1])
         out["kappa_final"] = kappa_final
-        out["stiffness_final"] = 1.0 / kappa_final if kappa_final > COMPLIANCE_FLOOR else math.inf
+        out["stiffness_final"] = stiffness_estimate(kappa_final)
         out["peak_force"] = float(np.abs(self.f_meas).max())
         return out
 
@@ -293,7 +293,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
         kappa_now = adapt.kappa if adapt is not None else 0.0
         row = (t, x_ref, filt.position, x, f_true, f_meas, e, kappa_now,
-               1.0 / kappa_now if kappa_now > COMPLIANCE_FLOOR else math.inf)
+               stiffness_estimate(kappa_now))
         for name, value in zip(TRACE_COLUMNS, row):
             cols[name][i] = value
 

@@ -7,8 +7,8 @@ from soilprobe.adaptation import (
     AdaptationParams,
     AdaptationState,
     adaptation_step,
-    compliance_estimate,
     position_reference,
+    stiffness_estimate,
 )
 from soilprobe.impedance import ImpedanceParams, steady_state_reference
 from soilprobe.scenario import run_scenario, scenario_preset
@@ -87,13 +87,9 @@ def test_position_reference_examples():
 
 
 def test_compliance_estimate_guards_reciprocal():
-    rigid = compliance_estimate(AdaptationState(kappa=0.0))
-    assert rigid.is_rigid and rigid.stiffness is None and rigid.compliance == 0.0
-    at_floor = compliance_estimate(AdaptationState(kappa=COMPLIANCE_FLOOR))
-    assert at_floor.is_rigid
-    soft = compliance_estimate(AdaptationState(kappa=0.0005))
-    assert soft.stiffness == pytest.approx(2000.0)
-    assert not soft.is_rigid
+    assert stiffness_estimate(0.0) == math.inf
+    assert stiffness_estimate(COMPLIANCE_FLOOR) == math.inf
+    assert stiffness_estimate(0.0005) == pytest.approx(2000.0)
 
 
 def test_closed_loop_converges_to_true_compliance():

@@ -30,36 +30,37 @@ def cloud_from_z(z_values, rng=None):
 # ---------------------------------------------------------------- binning
 
 def test_bin_points_hand_partition():
-    bins = bin_points(cloud_from_z([0.70, 0.71, 0.78]), dz=0.07)
-    assert [b.count for b in bins] == [2, 1]
-    assert bins[0].z_lo == pytest.approx(0.70)
-    assert bins[0].z_hi == pytest.approx(0.77)
-    assert bins[1].z_hi == pytest.approx(0.78)
+    idx, counts = bin_points(np.array([0.70, 0.71, 0.78]), dz=0.07)
+    assert counts.tolist() == [2, 1]
+    assert idx.tolist() == [0, 0, 1]
 
 
 def test_bin_points_singleton():
-    bins = bin_points(cloud_from_z([0.5]), dz=0.07)
-    assert len(bins) == 1 and bins[0].count == 1
+    idx, counts = bin_points(np.array([0.5]), dz=0.07)
+    assert idx.tolist() == [0] and counts.tolist() == [1]
 
 
 def test_bin_points_identical_z():
-    bins = bin_points(cloud_from_z([0.3] * 17), dz=0.07)
-    assert len(bins) == 1 and bins[0].count == 17
+    idx, counts = bin_points(np.full(17, 0.3), dz=0.07)
+    assert counts.tolist() == [17] and (idx == 0).all()
 
 
 def test_bin_points_partitions_every_point():
     rng = np.random.default_rng(0)
-    cloud = cloud_from_z(rng.uniform(0.0, 0.5, 400))
-    bins = bin_points(cloud, dz=0.07)
-    members = np.concatenate([b.members for b in bins])
-    assert np.array_equal(np.sort(members), np.arange(400))
+    z = rng.uniform(0.0, 0.5, 400)
+    idx, counts = bin_points(z, dz=0.07)
+    assert counts.sum() == 400
+    assert np.array_equal(np.bincount(idx, minlength=counts.size), counts)
+    # bins are contiguous z intervals: a higher bin never holds a lower point
+    order = np.argsort(z)
+    assert (np.diff(idx[order]) >= 0).all()
 
 
 def test_bin_points_errors():
     with pytest.raises(ValueError, match="no points to bin"):
-        bin_points(PointCloud([]), dz=0.07)
+        bin_points(np.array([]), dz=0.07)
     with pytest.raises(ValueError):
-        bin_points(cloud_from_z([0.1]), dz=0.0)
+        bin_points(np.array([0.1]), dz=0.0)
 
 
 # ---------------------------------------------------------------- scoring
