@@ -49,6 +49,7 @@ from .impedance import (
     steady_state_reference,
 )
 from .scenario import (
+    SCENARIO_KINDS,
     SCENARIO_STIFFNESS,
     ScenarioConfig,
     SimTrace,

@@ -24,6 +24,7 @@ from .cloud import load_cloud
 from .config import ConfigError, load_scenario_config, read_config
 from .ground import detect_ground, estimate_to_text
 from .scenario import (
+    SCENARIO_KINDS,
     ScenarioConfig,
     format_run_statistics,
     format_summary,
@@ -33,9 +34,6 @@ from .scenario import (
     trace_to_csv,
 )
 from .scene import PotSceneParams, generate_pot_scene, scene_bounds
-
-SCENARIO_CHOICES = ("moist", "dry", "rigid", "custom")
-
 
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
@@ -48,9 +46,9 @@ def _fill_from_config(args: argparse.Namespace, types: dict[str, type], **defaul
     A flag given on the command line, in either spelling, keeps its value.
     """
     given = read_config(Path(args.config).read_text(), types) if args.config else {}
-    if given.get("scenario") not in (None, *SCENARIO_CHOICES):
+    if given.get("scenario") not in (None, *SCENARIO_KINDS):
         raise ConfigError(f"invalid value for 'scenario': {given['scenario']!r} "
-                          f"(choose from {', '.join(SCENARIO_CHOICES)})")
+                          f"(choose from {', '.join(SCENARIO_KINDS)})")
     for key in types:
         if getattr(args, key) is None:
             setattr(args, key, given.get(key, defaults.get(key)))
@@ -103,9 +101,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_text(args.out, trace_to_csv(trace))
     if args.out:
         _info(f"trace written to {args.out}")
-        sys.stdout.write(format_summary(trace.summary()))
-    elif args.summary:
-        Path(args.summary).write_text(format_summary(trace.summary()))
+    # the summary goes to --summary if given, else to stdout once --out frees it
+    if args.summary or args.out:
+        _write_text(args.summary, format_summary(trace.summary()))
     return 0 if not trace.failed else 2
 
 
@@ -178,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         if scene:
             p.add_argument("--input", help="point-cloud text file (x,y,z per line)")
         if scenario:
-            p.add_argument("--scenario", choices=SCENARIO_CHOICES, help="scenario preset")
+            p.add_argument("--scenario", choices=SCENARIO_KINDS, help="scenario preset")
 
     p = sub.add_parser("detect", help="estimate the soil surface from a point cloud")
     add_common(p, scene=True)
@@ -188,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one contact scenario")
     add_common(p, scenario=True)
     p.add_argument("--out", help="trace CSV path (default: stdout)")
-    p.add_argument("--summary", help="summary block path")
+    p.add_argument("--summary",
+                   help="summary block path (default: stdout when --out is given, else none)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pipeline", help="scene -> detection -> contact scenario")

@@ -33,6 +33,7 @@ from .impedance import (
 )
 
 SCENARIO_STIFFNESS = {"moist": 500.0, "dry": 5000.0, "rigid": 1e6}
+SCENARIO_KINDS = (*SCENARIO_STIFFNESS, "custom")
 
 TRACE_COLUMNS = ("t", "x_r", "x_c", "x", "f_true", "f_meas", "e", "kappa", "stiffness_est")
 
@@ -81,7 +82,7 @@ class ScenarioConfig:
     fixed_reference: bool = False
 
     def __post_init__(self):
-        if self.scenario not in ("moist", "dry", "rigid", "custom"):
+        if self.scenario not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: '{self.scenario}'")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
@@ -127,13 +128,11 @@ class ScenarioConfig:
 
 
 def scenario_preset(name: str, **overrides) -> ScenarioConfig:
-    """Build a moist/dry/rigid/custom scenario, then apply overrides."""
-    kwargs = {}
-    if name != "custom":
-        if name not in SCENARIO_STIFFNESS:
-            raise ValueError(f"unknown scenario kind: '{name}'")
+    """Build a scenario of one of SCENARIO_KINDS, then apply overrides;
+    ScenarioConfig rejects an unknown kind."""
+    kwargs = {"scenario": name}
+    if name in SCENARIO_STIFFNESS:
         kwargs["env_stiffness"] = SCENARIO_STIFFNESS[name]
-    kwargs["scenario"] = name
     kwargs.update(overrides)
     return ScenarioConfig(**kwargs)
 
