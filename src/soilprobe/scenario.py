@@ -230,6 +230,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     from zero, shaping the reference thereafter.  Touching down slowly is
     what keeps a rigid collision within the safety bound.
 
+    The sensor is tared in free space: the mean reading over the approach
+    steps taken while the reference is outside decel_band is its zero
+    offset (0 if there are none).  The force error and the contact test
+    use the tared reading; the trace records the raw one.
+
     With fixed_reference=True the known-stiffness reference is held
     constant from t=0 and no adaptation runs.
 
@@ -255,6 +260,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     if cfg.fixed_reference:
         x_ref = steady_state_reference(cfg.force_setpoint, cfg.env_stiffness, cfg.surface_detected)
 
+    tare_sum, tare_count, tare = 0.0, 0, 0.0
     steps = n
     failed = False
     reason = ""
@@ -263,7 +269,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         try:
             f_true = environment_force(x, env)
             f_meas = sensor.read(f_true, dt)
-            e = force_error(cfg.force_setpoint, f_meas)
+            remaining = cfg.surface_detected - x_ref
+            if not in_force_phase and remaining > cfg.decel_band:
+                tare_sum += f_meas
+                tare_count += 1
+                tare = tare_sum / tare_count
+            f_tared = f_meas - tare
+            e = force_error(cfg.force_setpoint, f_tared)
 
             if cfg.fixed_reference:
                 ref_rate, e_ctrl = 0.0, e
@@ -273,10 +285,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                 x_ref = position_reference(adapt.kappa, cfg.force_setpoint, cfg.surface_detected)
                 ref_rate = adapt.kappa_rate * cfg.force_setpoint
             else:
-                remaining = cfg.surface_detected - x_ref
-                # spurious far-field readings (sensor bias) must not trigger
+                # spurious far-field readings (sensor noise) must not trigger
                 # the handover, hence the within-band requirement
-                if abs(f_meas) >= cfg.contact_threshold and remaining <= cfg.decel_band:
+                if abs(f_tared) >= cfg.contact_threshold and remaining <= cfg.decel_band:
                     in_force_phase = True
                     adapt = AdaptationState.initial(e, adp)
                     e_ctrl = e

@@ -114,6 +114,26 @@ def test_pre_contact_bias_shows_in_readings():
     assert abs(pre_contact.mean()) > 0.01
 
 
+def test_constant_bias_is_tared_out():
+    # a constant offset is read in free space and removed from the error,
+    # so the run tracks the true force as if the sensor were exact
+    biased = run_scenario(scenario_preset("dry", bias_amplitude=0.3, seed=2, duration=3.0))
+    exact = run_scenario(scenario_preset("dry", duration=3.0))
+    assert abs(biased.f_meas[0] - biased.f_true[0]) > 0.01
+    assert np.allclose(biased.e, 5.0 - biased.f_true, rtol=0.0, atol=1e-9)
+    assert np.allclose(biased.kappa, exact.kappa, rtol=1e-6, atol=0.0)
+
+
+def test_rigid_contact_under_sensor_noise_stays_safe():
+    # criterion 09's noise: an untared bias used to trigger the handover
+    # early or late and overshoot the rigid peak-force bound
+    noise = dict(bias_amplitude=0.3, bias_drift_rate=0.2, white_noise_std=0.02, duration=10.0)
+    for seed in range(1, 11):
+        summary = run_scenario(scenario_preset("rigid", seed=seed, **noise)).summary()
+        assert summary["peak_force"] <= 1.5 * 5.0, seed
+        assert summary["kappa_final"] <= 2e-6, seed
+
+
 def test_csv_contract():
     trace = run_scenario(scenario_preset("moist", duration=0.2))
     text = trace_to_csv(trace)
