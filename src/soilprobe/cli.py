@@ -35,6 +35,7 @@ from .scenario import (
 )
 from .scene import PotSceneParams, generate_pot_scene, scene_bounds
 
+
 def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 

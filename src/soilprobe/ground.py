@@ -45,13 +45,13 @@ def bin_points(z: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
     Returns (idx, counts): the bin of every point, and the population of
     every bin, lowest z first.
     """
-    z = np.asarray(z, dtype=float)
     if z.size == 0:
         raise ValueError("no points to bin")
     if dz <= 0:
         raise ValueError("dz must be positive")
     z_min = float(z.min())
-    n_bins = max(1, math.ceil((float(z.max()) - z_min) / dz))
+    z_max = float(z.max())
+    n_bins = max(1, math.ceil((z_max - z_min) / dz))
     idx = np.minimum(np.floor((z - z_min) / dz).astype(int), n_bins - 1)
     return idx, np.bincount(idx, minlength=n_bins)
 

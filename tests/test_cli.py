@@ -127,14 +127,6 @@ def test_simulate_summary_file_with_out(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_simulate_summary_to_stdout_with_out(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("duration = 1.0\n")
-    out = tmp_path / "trace.csv"
-    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
-    assert "steady_state_error=" in capsys.readouterr().out
-
-
 def test_simulate_divergence_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("duration = 5.0\ndt = 0.008\n")
