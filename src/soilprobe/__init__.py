@@ -12,7 +12,6 @@ from .cloud import (
     PointCloud,
     WorkspaceBounds,
     cloud_from_text,
-    cloud_to_text,
     load_cloud,
     save_cloud,
     workspace_filter,
@@ -44,7 +43,6 @@ from .impedance import (
     ImpedanceParams,
     ImpedanceState,
     ReferenceSignal,
-    force_error,
     impedance_step,
     steady_state_reference,
 )

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point3
-
 
 class PointCloud:
     """An ordered collection of 3-D points backed by an (N, 3) float array."""
@@ -22,9 +20,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def __getitem__(self, i: int) -> Point3:
-        return Point3.from_array(self.points[i])
 
     @property
     def x(self) -> np.ndarray:
@@ -105,13 +100,7 @@ def format_coord(v: float) -> str:
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
-    with open(path, "w") as f:
-        f.write(cloud_to_text(cloud))
-
-
-def cloud_to_text(cloud: PointCloud) -> str:
-    lines = [",".join(format_coord(v) for v in row) for row in cloud.points]
-    return "\n".join(lines) + ("\n" if lines else "")
+    np.savetxt(path, cloud.points, fmt="%.9g", delimiter=",")
 
 
 def load_cloud(path) -> PointCloud:

@@ -120,9 +120,6 @@ class PlaneModel:
         if abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise ValueError("plane normal must be unit length")
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        return np.abs(points @ self.normal + self.d)
-
     @property
     def inlier_count(self) -> int:
         return int(self.inlier_indices.size)

@@ -51,11 +51,6 @@ class ReferenceSignal:
     acceleration: float = 0.0
 
 
-def force_error(f_desired: float, f_measured: float) -> float:
-    """Force tracking error: desired minus measured contact force."""
-    return f_desired - f_measured
-
-
 def impedance_step(
     state: ImpedanceState,
     ref: ReferenceSignal,

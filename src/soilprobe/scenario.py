@@ -3,7 +3,9 @@ contact, track a force setpoint while the compliance estimate adapts."""
 
 from __future__ import annotations
 
+import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,6 @@ from .impedance import (
     ImpedanceParams,
     ImpedanceState,
     ReferenceSignal,
-    force_error,
     impedance_step,
     steady_state_reference,
 )
@@ -36,6 +37,7 @@ SCENARIO_STIFFNESS = {"moist": 500.0, "dry": 5000.0, "rigid": 1e6}
 SCENARIO_KINDS = (*SCENARIO_STIFFNESS, "custom")
 
 TRACE_COLUMNS = ("t", "x_r", "x_c", "x", "f_true", "f_meas", "e", "kappa", "stiffness_est")
+RUN_METRICS = ("kappa_final", "settling_time", "steady_state_error", "peak_force")
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     """
     n = int(math.floor(cfg.duration / cfg.dt)) + 1
     dt = cfg.dt
-    cols = {name: np.zeros(n) for name in TRACE_COLUMNS}
 
     env = cfg.environment_model()
     sensor = SensorState(cfg.sensor_model(), cfg.seed)
@@ -261,12 +262,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         x_ref = steady_state_reference(cfg.force_setpoint, cfg.env_stiffness, cfg.surface_detected)
 
     tare_sum, tare_count, tare = 0.0, 0, 0.0
-    steps = n
+    rows = array("d")  # TRACE_COLUMNS values of each completed step, row after row
     failed = False
     reason = ""
-    for i in range(n):
-        t = i * dt
-        try:
+    try:
+        for i in range(n):
             f_true = environment_force(x, env)
             f_meas = sensor.read(f_true, dt)
             remaining = cfg.surface_detected - x_ref
@@ -275,7 +275,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                 tare_count += 1
                 tare = tare_sum / tare_count
             f_tared = f_meas - tare
-            e = force_error(cfg.force_setpoint, f_tared)
+            e = cfg.force_setpoint - f_tared
 
             if cfg.fixed_reference:
                 ref_rate, e_ctrl = 0.0, e
@@ -297,40 +297,28 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                     e_ctrl = 0.0
                     ref_rate = _approach_rate(remaining, cfg)
                     x_ref = x_ref + ref_rate * dt
-        except RuntimeError as err:
-            steps, failed, reason = i, True, str(err)
-            break
 
-        kappa_now = adapt.kappa if adapt is not None else 0.0
-        row = (t, x_ref, filt.position, x, f_true, f_meas, e, kappa_now,
-               stiffness_estimate(kappa_now))
-        for name, value in zip(TRACE_COLUMNS, row):
-            cols[name][i] = value
-
-        if i == n - 1:
-            break
-        try:
+            kappa_now = adapt.kappa if adapt is not None else 0.0
+            rows.extend((i * dt, x_ref, filt.position, x, f_true, f_meas, e, kappa_now,
+                         stiffness_estimate(kappa_now)))
+            if i == n - 1:
+                break
             filt = impedance_step(filt, ReferenceSignal(x_ref, ref_rate, 0.0), e_ctrl, imp, dt)
-        except RuntimeError as err:
-            steps, failed, reason = i + 1, True, str(err)
-            break
-        x = robot_step(x, filt.position, robot, dt)
+            x = robot_step(x, filt.position, robot, dt)
+    except RuntimeError as err:
+        # adaptation diverges before its step is recorded, the filter after
+        failed, reason = True, str(err)
 
-    return SimTrace(
-        config=cfg,
-        failed=failed,
-        failure_reason=reason,
-        **{name: cols[name][:steps] for name in TRACE_COLUMNS},
-    )
+    table = np.frombuffer(rows).reshape(-1, len(TRACE_COLUMNS))
+    return SimTrace(cfg, *table.T, failed=failed, failure_reason=reason)
 
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Render a trace as CSV with the contracted header and column order."""
-    lines = [",".join(TRACE_COLUMNS)]
-    columns = [trace.column(name) for name in TRACE_COLUMNS]
-    for i in range(len(trace)):
-        lines.append(",".join(f"{col[i]:.9g}" for col in columns))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    np.savetxt(out, np.column_stack([trace.column(name) for name in TRACE_COLUMNS]),
+               fmt="%.9g", delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
+    return out.getvalue()
 
 
 def format_summary(summary: dict) -> str:
@@ -361,11 +349,10 @@ def summarize_runs(traces) -> dict:
     by_kind: dict[str, list[dict]] = {}
     for tr in traces:
         by_kind.setdefault(tr.config.scenario, []).append(tr.summary())
-    metrics = ("kappa_final", "settling_time", "steady_state_error", "peak_force")
     out: dict[str, dict] = {}
     for kind, summaries in by_kind.items():
         stats: dict[str, dict] = {"runs": len(summaries)}
-        for metric in metrics:
+        for metric in RUN_METRICS:
             vals = np.array([s[metric] for s in summaries], dtype=float)
             entry = {
                 "mean": float(np.mean(vals)),
@@ -384,13 +371,10 @@ def summarize_runs(traces) -> dict:
 def format_run_statistics(stats: dict) -> str:
     """Flatten summarize_runs output into key=value lines, one metric
     statistic per line, ordered deterministically."""
-    lines = []
+    flat = {}
     for kind in sorted(stats):
-        block = stats[kind]
-        lines.append(f"{kind}.runs={block['runs']}")
-        for metric in ("kappa_final", "settling_time", "steady_state_error", "peak_force"):
-            entry = block[metric]
-            for stat in ("mean", "std", "min", "max", "rel_std"):
-                if stat in entry:
-                    lines.append(f"{kind}.{metric}.{stat}={entry[stat]:.9g}")
-    return "\n".join(lines) + "\n"
+        flat[f"{kind}.runs"] = stats[kind]["runs"]
+        for metric in RUN_METRICS:
+            for stat, value in stats[kind][metric].items():
+                flat[f"{kind}.{metric}.{stat}"] = value
+    return format_summary(flat)

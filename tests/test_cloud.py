@@ -7,7 +7,6 @@ from soilprobe.cloud import (
     PointCloud,
     WorkspaceBounds,
     cloud_from_text,
-    cloud_to_text,
     load_cloud,
     save_cloud,
     workspace_filter,
@@ -28,8 +27,7 @@ def test_cloud_accessors_and_indexing():
     assert np.array_equal(cloud.x, [1.0, 4.0])
     assert np.array_equal(cloud.y, [2.0, 5.0])
     assert np.array_equal(cloud.z, [3.0, 6.0])
-    p = cloud[1]
-    assert (p.x, p.y, p.z) == (4.0, 5.0, 6.0)
+    assert tuple(cloud.points[1]) == (4.0, 5.0, 6.0)
 
 
 def test_valid_mask_flags_nan_rows():
@@ -95,7 +93,7 @@ def test_text_format_comments_and_blanks():
     text = "# header comment\n\n0.1,0.2,0.3\n# trailing\n"
     cloud = cloud_from_text(text)
     assert len(cloud) == 1
-    assert cloud[0].y == 0.2
+    assert cloud.points[0, 1] == 0.2
 
 
 def test_text_format_reports_line_numbers():
@@ -105,16 +103,20 @@ def test_text_format_reports_line_numbers():
         cloud_from_text("a,b,c\n")
 
 
-def test_empty_text_gives_empty_cloud():
+def test_empty_text_gives_empty_cloud(tmp_path):
     cloud = cloud_from_text("")
     assert len(cloud) == 0
-    assert cloud_to_text(cloud) == ""
+    path = tmp_path / "empty.txt"
+    save_cloud(cloud, path)
+    assert path.read_text() == ""
 
 
-def test_rerendered_text_is_identical():
-    cloud = PointCloud([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    text = cloud_to_text(cloud)
-    assert cloud_to_text(cloud_from_text(text)) == text
+def test_rerendered_text_is_identical(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_cloud(PointCloud([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]), first)
+    save_cloud(load_cloud(first), second)
+    assert first.read_text() == "0.1,0.2,0.3\n0.4,0.5,0.6\n"
+    assert second.read_text() == first.read_text()
 
 
 def test_nan_survives_text_roundtrip():

@@ -168,7 +168,7 @@ def test_ransac_exact_coplanar():
     cloud = PointCloud(np.column_stack([xy, np.full(200, 0.8)]))
     model = fit_plane_ransac(cloud, seed=0)
     assert model.inlier_count == 200
-    assert model.distances(cloud.points).max() < 1e-9
+    assert np.abs(cloud.points @ model.normal + model.d).max() < 1e-9
     assert model.normal[2] > 0
     assert model.d == pytest.approx(-0.8, abs=1e-12)
 
@@ -184,7 +184,7 @@ def test_ransac_rejects_outliers():
 def test_ransac_inliers_satisfy_threshold():
     cloud = make_noisy_plane(np.random.default_rng(4))
     model = fit_plane_ransac(cloud, threshold=0.0075, seed=1)
-    dist = model.distances(cloud.points[model.inlier_indices])
+    dist = np.abs(cloud.points[model.inlier_indices] @ model.normal + model.d)
     assert (dist < model.threshold).all()
 
 

@@ -6,7 +6,6 @@ from soilprobe.impedance import (
     ImpedanceParams,
     ImpedanceState,
     ReferenceSignal,
-    force_error,
     impedance_step,
     steady_state_reference,
 )
@@ -35,12 +34,6 @@ def run_filter(params, e, dt, n, state=None, ref=REST):
     for _ in range(n):
         state = impedance_step(state, ref, e, params, dt)
     return state
-
-
-def test_force_error_sign_convention():
-    assert force_error(5.0, 5.0) == 0.0
-    assert force_error(5.0, 0.0) == 5.0
-    assert force_error(0.0, 3.2) == -3.2
 
 
 def test_params_must_be_positive():

@@ -89,15 +89,20 @@ def test_approach_starts_above_surface_with_zero_kappa():
 
 
 def test_divergent_config_truncates_with_flag():
-    cfg = scenario_preset("moist", dt=0.008, duration=5.0)
-    trace = run_scenario(cfg)
-    assert trace.failed
-    assert trace.failure_reason in ("filter diverged", "adaptation diverged")
-    assert len(trace) < math.floor(5.0 / 0.008) + 1
-    for name in TRACE_COLUMNS:
-        assert trace.column(name).size == len(trace)
-    summary = trace.summary()
-    assert summary["failed"] and summary["failure_reason"] == trace.failure_reason
+    # the adaptation guard trips before its step is recorded, the filter
+    # guard after, so each keeps every finite row and no more
+    for dt, reason, rows in ((0.008, "adaptation diverged", 448),
+                             (0.009, "filter diverged", 409)):
+        trace = run_scenario(scenario_preset("moist", dt=dt, duration=5.0))
+        assert trace.failed
+        assert trace.failure_reason == reason
+        assert len(trace) == rows
+        for name in TRACE_COLUMNS:
+            assert trace.column(name).size == len(trace)
+            if name != "stiffness_est":
+                assert np.isfinite(trace.column(name)).all(), name
+        summary = trace.summary()
+        assert summary["failed"] and summary["failure_reason"] == trace.failure_reason
 
 
 def test_fixed_reference_reaches_zero_error():
@@ -144,6 +149,10 @@ def test_csv_contract():
     first = lines[1].split(",")
     assert len(first) == 9
     assert first[0] == "0"
+    # reference: one %.9g cell per value, the approach rows' +inf included
+    columns = [trace.column(name) for name in TRACE_COLUMNS]
+    assert lines[1:] == [",".join(f"{col[i]:.9g}" for col in columns) for i in range(len(trace))]
+    assert "inf" in lines[1]
 
 
 def test_trace_column_rejects_unknown_name():
@@ -198,8 +207,15 @@ def test_summarize_empty_errors():
 
 def test_run_statistics_text_is_deterministic():
     traces = [run_scenario(scenario_preset("moist", duration=1.0, seed=s)) for s in (1, 2)]
-    text = format_run_statistics(summarize_runs(traces))
+    stats = summarize_runs(traces)
+    text = format_run_statistics(stats)
     assert text.splitlines()[0] == "moist.runs=2"
+    # reference: every statistic of every metric, in summarize_runs' order
+    expected = ["moist.runs=2"] + [
+        f"moist.{metric}.{stat}={value:.9g}"
+        for metric in ("kappa_final", "settling_time", "steady_state_error", "peak_force")
+        for stat, value in stats["moist"][metric].items()]
+    assert text.splitlines() == expected
     assert any(line.startswith("moist.kappa_final.rel_std=") for line in text.splitlines())
     again = format_run_statistics(summarize_runs(traces))
     assert again == text
