@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from soilprobe import (
-    BinningSchedule,
+    BAND_WIDTHS,
     PotSceneParams,
     detect_ground,
     estimate_to_text,
@@ -44,11 +44,10 @@ def main() -> None:
     # -- 3. shrinking-band search: each pass re-bins the surviving band
     #       with a finer vertical resolution and keeps the bin whose
     #       population stands out most from its neighbours
-    sched = BinningSchedule()
-    history = refinement_history(inside, sched)
+    history = refinement_history(inside)
     print(f"band refinement: {len(history)} passes "
-          f"(bin widths {', '.join(f'{w * 100:.2f}' for w in sched.widths())} cm)")
-    for k, (w, idx) in enumerate(zip(sched.widths(), history)):
+          f"(bin widths {', '.join(f'{w * 100:.2f}' for w in BAND_WIDTHS)} cm)")
+    for k, (w, idx) in enumerate(zip(BAND_WIDTHS, history)):
         z = inside.points[idx, 2]
         print(f"  pass {k}: width {w * 100:5.2f} cm -> {len(idx):4d} points, "
               f"z in [{z.min():.4f}, {z.max():.4f}]")

@@ -25,11 +25,11 @@ from .contact import (
     environment_force,
     robot_step,
 )
-from .geometry import Point3
 from .ground import (
-    BinningSchedule,
+    BAND_WIDTHS,
     GroundEstimate,
     PlaneModel,
+    Point3,
     bin_points,
     detect_ground,
     estimate_to_text,

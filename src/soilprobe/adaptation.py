@@ -8,7 +8,7 @@ where kappa is an adaptive compliance parameter (m/N) and x_e the detected
 surface.  kappa evolves through a third-order ODE that reuses the impedance
 coefficients on its left-hand side,
 
-    m kappa''' + b kappa'' + k kappa' = s1 * g1 * q  +  s2 * g1s * qd
+    m kappa''' + b kappa'' + k kappa' = g1 * q  +  g1s * qd
 
 with q = p1 * e + p2 * ed built from the force-tracking error.  When the
 closed loop settles, e -> 0 and kappa -> 1/k_e: the estimate converges to
@@ -16,13 +16,12 @@ the true environment compliance without k_e ever being measured.
 
 Sign conventions: with e defined as desired-minus-measured force, a
 positive q must *raise* kappa (the probe is not pressing hard enough, so
-the reference must move deeper).  The published form of the law carries a
-minus sign on the q term, which with this error convention drives kappa
-onto its lower clamp and never converges; both signs are therefore exposed
-as config flags, defaulting to the convergent choice.  The sign of the
-q-derivative term likewise appears both ways in the literature; +1 is the
-stabilizing default (it adds damping proportional to the contact
-stiffness).
+the reference must move deeper), hence the plus sign on the q term.  The
+published form of the law carries a minus sign there, which with this
+error convention drives kappa onto its lower clamp and never converges.
+The sign of the q-derivative term appears both ways in the literature;
+plus is the stabilizing choice (it adds damping proportional to the
+contact stiffness).
 """
 
 from __future__ import annotations
@@ -47,17 +46,14 @@ class AdaptationParams:
 
     drive_gain weights the composite error q, drive_rate_gain its
     derivative; error_weight and error_rate_weight form q from the force
-    error and its filtered derivative.  Defaults are tuned so one shared
-    set converges on soft soil, dry soil, and rigid collisions alike.
+    error and its filtered derivative.
     """
 
-    drive_gain: float = 8.0
-    drive_rate_gain: float = 0.05
-    error_weight: float = 1.0
-    error_rate_weight: float = 0.05
-    deriv_filter_tau: float = 0.01
-    drive_sign: int = 1
-    rate_sign: int = 1
+    drive_gain: float
+    drive_rate_gain: float
+    error_weight: float
+    error_rate_weight: float
+    deriv_filter_tau: float
 
     def __post_init__(self):
         if self.drive_gain <= 0:
@@ -68,8 +64,6 @@ class AdaptationParams:
             raise ValueError("error weights must be positive")
         if self.deriv_filter_tau < 0:
             raise ValueError("deriv_filter_tau must be non-negative")
-        if self.drive_sign not in (1, -1) or self.rate_sign not in (1, -1):
-            raise ValueError("sign flags must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ def adaptation_step(
     q = params.error_weight * e + params.error_rate_weight * e_rate
     q_rate, q_lp = _dirty_derivative(q, state.q_lp, params.deriv_filter_tau, dt)
 
-    drive = params.drive_sign * params.drive_gain * q + params.rate_sign * params.drive_rate_gain * q_rate
+    drive = params.drive_gain * q + params.drive_rate_gain * q_rate
     jerk = (drive - imp.stiffness * state.kappa_rate - imp.damping * state.kappa_accel) / imp.mass
 
     accel = state.kappa_accel + dt * jerk

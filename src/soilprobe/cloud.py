@@ -95,10 +95,6 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
 
 # Text format: one `x,y,z` triple per line, 9 significant digits, `#` comments.
 
-def format_coord(v: float) -> str:
-    return f"{v:.9g}"
-
-
 def save_cloud(cloud: PointCloud, path) -> None:
     np.savetxt(path, cloud.points, fmt="%.9g", delimiter=",")
 

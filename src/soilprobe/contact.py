@@ -13,8 +13,8 @@ import numpy as np
 class EnvironmentModel:
     """Unilateral linear spring: compression produces force, separation none."""
 
-    k_env: float = 500.0
-    x_surface_true: float = 0.0
+    k_env: float
+    x_surface_true: float
 
     def __post_init__(self):
         if self.k_env <= 0:
@@ -36,9 +36,9 @@ class SensorModel:
     sensor.  Noise is clipped at four standard deviations so the advertised
     reading bound |bias| + 4*sigma holds on every sample."""
 
-    bias_amplitude: float = 0.0
-    bias_drift_rate: float = 0.0
-    white_noise_std: float = 0.0
+    bias_amplitude: float
+    bias_drift_rate: float
+    white_noise_std: float
 
     def __post_init__(self):
         if self.bias_amplitude < 0 or self.bias_drift_rate < 0 or self.white_noise_std < 0:
@@ -65,10 +65,10 @@ class SensorState:
 
 @dataclass(frozen=True)
 class RobotModel:
-    """First-order lag between commanded and actual probe position; the
-    zero-lag default reproduces the ideal-tracking assumption x == x_c."""
+    """First-order lag between commanded and actual probe position; zero
+    lag reproduces the ideal-tracking assumption x == x_c."""
 
-    tracking_tau: float = 0.0
+    tracking_tau: float
 
     def __post_init__(self):
         if self.tracking_tau < 0:

@@ -3,39 +3,30 @@ RANSAC plane fitting and extraction of the probe target points."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, WorkspaceBounds, format_coord, workspace_filter
-from .geometry import Point3
+from .cloud import PointCloud, WorkspaceBounds, workspace_filter
 
 APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot center
 
+# Bin width of each band-refinement pass, largest first: 7 cm, a quarter
+# narrower per pass, down to the last width of at least 1 cm.  Each width is
+# the float product of the one before (0.07 * 0.75**k differs in the last bit).
+BAND_WIDTHS = tuple(itertools.accumulate([0.07] + [0.75] * 6, operator.mul))
+
 
 @dataclass(frozen=True)
-class BinningSchedule:
-    """Shrinking bin-width schedule for the iterative band refinement."""
+class Point3:
+    """A 3-D sample in meters. NaN coordinates mark an invalid measurement."""
 
-    dz_init: float = 0.07
-    shrink: float = 0.25
-    dz_min: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must be a fraction in (0, 1)")
-        if not 0.0 < self.dz_min < self.dz_init:
-            raise ValueError("dz_min must satisfy 0 < dz_min < dz_init")
-
-    def widths(self) -> list[float]:
-        """Bin widths used per refinement pass, largest first."""
-        out = []
-        dz = self.dz_init
-        while dz >= self.dz_min:
-            out.append(dz)
-            dz *= 1.0 - self.shrink
-        return out
+    x: float
+    y: float
+    z: float
 
 
 def bin_points(z: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
@@ -75,19 +66,19 @@ def _best_bin(counts: np.ndarray) -> int:
     return int(np.argmax(score_bin(padded[:-2], counts, padded[2:])))
 
 
-def refinement_history(cloud: PointCloud, sched: BinningSchedule = BinningSchedule()) -> list[np.ndarray]:
+def refinement_history(cloud: PointCloud) -> list[np.ndarray]:
     """Index sets retained after each refinement pass (into the input cloud).
 
     Each pass re-bins the surviving points at the current width, picks the
     highest-scoring bin and keeps the points within half a bin width of that
-    bin's z range.  The width then shrinks; passes stop once it falls below
-    dz_min.  Retained sets are nested by construction.
+    bin's z range, at each width of BAND_WIDTHS in turn.  Retained sets are
+    nested by construction.
     """
     if len(cloud) == 0:
         raise ValueError("no points to bin")
     kept = np.arange(len(cloud))
     history = []
-    for dz in sched.widths():
+    for dz in BAND_WIDTHS:
         z = cloud.z[kept]
         idx, counts = bin_points(z, dz)
         member_z = z[idx == _best_bin(counts)]
@@ -98,9 +89,9 @@ def refinement_history(cloud: PointCloud, sched: BinningSchedule = BinningSchedu
     return history
 
 
-def refine_ground_band(cloud: PointCloud, sched: BinningSchedule = BinningSchedule()) -> PointCloud:
+def refine_ground_band(cloud: PointCloud) -> PointCloud:
     """Reduce a workspace cloud to the band around the dominant low surface."""
-    history = refinement_history(cloud, sched)
+    history = refinement_history(cloud)
     return cloud.select(history[-1]).sort_by_z()
 
 
@@ -229,7 +220,7 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
     if plane.inlier_count == 0:
         raise ValueError("plane has no inliers")
     inl = cloud.points[plane.inlier_indices]
-    center = Point3.from_array(np.median(inl, axis=0))
+    center = Point3(*np.median(inl, axis=0).tolist())
     near = Point3(center.x, float(inl[:, 1].min()), center.z)
     approach = Point3(near.x, near.y + APPROACH_OFFSET_Y, near.z)
     return GroundEstimate(plane, center, near, approach)
@@ -238,7 +229,6 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
 def detect_ground(
     cloud: PointCloud,
     bounds: WorkspaceBounds,
-    sched: BinningSchedule = BinningSchedule(),
     threshold: float = 0.005,
     max_iters: int = 500,
     seed: int = 0,
@@ -247,12 +237,16 @@ def detect_ground(
     inside = workspace_filter(cloud, bounds)
     if len(inside) == 0:
         raise ValueError("no points inside the workspace bounds")
-    band = refine_ground_band(inside, sched)
+    band = refine_ground_band(inside)
     plane = fit_plane_ransac(band, threshold=threshold, max_iters=max_iters, seed=seed)
     return extract_ground_estimate(plane, band)
 
 
 # Plain-text estimate record, one key=value per line.
+
+def format_coord(v: float) -> str:
+    return f"{v:.9g}"
+
 
 def _fmt_point(p: Point3) -> str:
     return ",".join(format_coord(v) for v in (p.x, p.y, p.z))

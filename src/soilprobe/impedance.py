@@ -17,16 +17,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ImpedanceParams:
-    """Target impedance: virtual mass, damping and stiffness per axis.
+    """Target impedance: virtual mass, damping and stiffness per axis."""
 
-    Defaults give a critically damped free-space response at ~20 rad/s.
-    The contact-scenario presets override damping with a heavier value; see
-    ScenarioConfig.
-    """
-
-    mass: float = 1.0
-    damping: float = 40.0
-    stiffness: float = 400.0
+    mass: float
+    damping: float
+    stiffness: float
 
     def __post_init__(self):
         if not (self.mass > 0 and self.damping > 0 and self.stiffness > 0):

@@ -44,9 +44,9 @@ RUN_METRICS = ("kappa_final", "settling_time", "steady_state_error", "peak_force
 class ScenarioConfig:
     """Complete, flat description of one probing run.
 
-    The controller set here (heavier damping than the bare filter default)
-    is the shared tuning that handles moist soil, dry soil, and rigid
-    collisions alike; every field can be overridden from a config file.
+    The controller set here is the shared tuning that handles moist soil,
+    dry soil, and rigid collisions alike, and the only home of the component
+    models' defaults; every field can be overridden from a config file.
     """
 
     scenario: str = "custom"
@@ -67,8 +67,6 @@ class ScenarioConfig:
     error_weight: float = 1.0
     error_rate_weight: float = 0.05
     deriv_filter_tau: float = 0.01
-    drive_sign: int = 1
-    rate_sign: int = 1
     # sensing and robot tracking
     bias_amplitude: float = 0.0
     bias_drift_rate: float = 0.0
@@ -115,8 +113,6 @@ class ScenarioConfig:
             self.error_weight,
             self.error_rate_weight,
             self.deriv_filter_tau,
-            self.drive_sign,
-            self.rate_sign,
         )
 
     def environment_model(self) -> EnvironmentModel:
@@ -163,11 +159,6 @@ class SimTrace:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS:
-            raise KeyError(name)
-        return getattr(self, name)
 
     def summary(self) -> dict:
         cfg = self.config
@@ -316,7 +307,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 def trace_to_csv(trace: SimTrace) -> str:
     """Render a trace as CSV with the contracted header and column order."""
     out = io.StringIO()
-    np.savetxt(out, np.column_stack([trace.column(name) for name in TRACE_COLUMNS]),
+    np.savetxt(out, np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS]),
                fmt="%.9g", delimiter=",", header=",".join(TRACE_COLUMNS), comments="")
     return out.getvalue()
 

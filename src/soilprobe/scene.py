@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, WorkspaceBounds
-from .geometry import Point3
-from .ground import APPROACH_OFFSET_Y, GroundEstimate, PlaneModel
+from .ground import APPROACH_OFFSET_Y, GroundEstimate, PlaneModel, Point3
 
 
 @dataclass(frozen=True)

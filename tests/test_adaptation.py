@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,23 +14,23 @@ from soilprobe.adaptation import (
 from soilprobe.impedance import ImpedanceParams, steady_state_reference
 from soilprobe.scenario import run_scenario, scenario_preset
 
-IMP = ImpedanceParams()
-ADP = AdaptationParams()
+IMP = ImpedanceParams(1.0, 40.0, 400.0)
+ADP = AdaptationParams(8.0, 0.05, 1.0, 0.05, 0.01)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AdaptationParams(drive_gain=0.0)
+        dataclasses.replace(ADP, drive_gain=0.0)
     with pytest.raises(ValueError):
-        AdaptationParams(drive_rate_gain=-0.1)
+        dataclasses.replace(ADP, drive_rate_gain=-0.1)
     with pytest.raises(ValueError):
-        AdaptationParams(error_weight=0.0)
+        dataclasses.replace(ADP, error_weight=0.0)
     with pytest.raises(ValueError):
-        AdaptationParams(deriv_filter_tau=-1.0)
-    with pytest.raises(ValueError):
-        AdaptationParams(drive_sign=2)
+        dataclasses.replace(ADP, deriv_filter_tau=-1.0)
+    with pytest.raises(TypeError):
+        dataclasses.replace(ADP, drive_sign=2)  # the law's signs are fixed
     # the rate term may be disabled outright
-    AdaptationParams(drive_rate_gain=0.0)
+    dataclasses.replace(ADP, drive_rate_gain=0.0)
 
 
 def test_initial_state_matches_zero_compliance_prior():
@@ -119,15 +120,6 @@ def test_kappa_limit_is_independent_of_setpoint():
         trace = run_scenario(scenario_preset("moist", force_setpoint=setpoint, duration=10.0))
         kappa = trace.summary()["kappa_final"]
         assert 0.95 / 500.0 <= kappa <= 1.05 / 500.0, setpoint
-
-
-def test_published_drive_sign_stalls_at_zero_compliance():
-    # with the opposite drive sign the estimate pins to the clamp and the
-    # force error never converges; documents why the default is +1
-    trace = run_scenario(scenario_preset("moist", drive_sign=-1, duration=5.0))
-    s = trace.summary()
-    assert s["kappa_final"] == 0.0
-    assert s["steady_state_error"] > 1.0
 
 
 def test_dry_estimate_stiffer_than_moist():

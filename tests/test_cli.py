@@ -151,6 +151,10 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     cfg.write_text("generate = true\n")
     assert run("detect", "--config", str(cfg)) == 1
     assert "generate" in capsys.readouterr().err
+    for key in ("drive_sign", "rate_sign"):  # the adaptation law's signs are fixed
+        cfg.write_text(f"{key} = 1\n")
+        assert run("simulate", "--config", str(cfg)) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_malformed_config_exits_1(tmp_path):

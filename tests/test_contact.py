@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,9 @@ from soilprobe.contact import (
     robot_step,
 )
 
+ENV = EnvironmentModel(500.0, 0.0)
+EXACT = SensorModel(0.0, 0.0, 0.0)
+
 
 def test_environment_force_examples():
     env = EnvironmentModel(k_env=1000.0, x_surface_true=0.02)
@@ -21,22 +25,21 @@ def test_environment_force_examples():
 
 
 def test_environment_force_rejects_nonfinite():
-    env = EnvironmentModel()
     with pytest.raises(ValueError):
-        environment_force(math.nan, env)
+        environment_force(math.nan, ENV)
     with pytest.raises(ValueError):
-        environment_force(math.inf, env)
+        environment_force(math.inf, ENV)
 
 
 def test_environment_validation():
     with pytest.raises(ValueError):
-        EnvironmentModel(k_env=0.0)
+        dataclasses.replace(ENV, k_env=0.0)
     with pytest.raises(ValueError):
-        EnvironmentModel(k_env=-100.0)
+        dataclasses.replace(ENV, k_env=-100.0)
 
 
 def test_sensor_noise_free_is_exact():
-    sensor = SensorState(SensorModel(), seed=0)
+    sensor = SensorState(EXACT, seed=0)
     for f in (0.0, 1.5, -2.0):
         assert sensor.read(f, 1e-3) == f
 
@@ -62,7 +65,7 @@ def test_sensor_reading_bound():
 
 
 def test_sensor_bias_stays_within_amplitude():
-    model = SensorModel(bias_amplitude=0.2, bias_drift_rate=50.0)
+    model = SensorModel(bias_amplitude=0.2, bias_drift_rate=50.0, white_noise_std=0.0)
     sensor = SensorState(model, seed=7)
     for _ in range(5000):
         sensor.read(0.0, 1e-3)
@@ -71,9 +74,9 @@ def test_sensor_bias_stays_within_amplitude():
 
 def test_sensor_validation():
     with pytest.raises(ValueError):
-        SensorModel(bias_amplitude=-0.1)
+        dataclasses.replace(EXACT, bias_amplitude=-0.1)
     with pytest.raises(ValueError):
-        SensorModel(white_noise_std=-1.0)
+        dataclasses.replace(EXACT, white_noise_std=-1.0)
 
 
 def test_robot_perfect_tracking():
@@ -102,4 +105,4 @@ def test_robot_validation():
     with pytest.raises(ValueError):
         RobotModel(tracking_tau=-0.1)
     with pytest.raises(ValueError):
-        robot_step(0.0, 1.0, RobotModel(), 0.0)
+        robot_step(0.0, 1.0, RobotModel(0.0), 0.0)

@@ -1,12 +1,15 @@
-"""Smoke test: every demo script runs to the end with its default arguments."""
+"""Smoke tests: every demo script runs to the end with its default arguments,
+and the README's library example runs as written."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("demo_*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("demo_*.py"))
 
 
 def test_all_demos_are_found():
@@ -18,3 +21,10 @@ def test_demo_runs(script, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(script)])
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_library_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) == pytest.approx(5000.0, rel=0.05)  # "~5000 N/m"

@@ -3,7 +3,7 @@ import pytest
 
 from soilprobe.cloud import PointCloud, workspace_filter
 from soilprobe.ground import (
-    BinningSchedule,
+    BAND_WIDTHS,
     GroundEstimate,
     PlaneModel,
     bin_points,
@@ -92,18 +92,14 @@ def test_score_symmetry_and_empty_bin():
 # ------------------------------------------------------------- refinement
 
 def test_schedule_widths_shrink_to_floor():
-    widths = BinningSchedule().widths()
-    assert len(widths) == 7
-    assert widths[0] == pytest.approx(0.07)
-    assert widths[-1] >= 0.01
-    assert widths[-1] * 0.75 < 0.01
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        BinningSchedule(shrink=1.5)
-    with pytest.raises(ValueError):
-        BinningSchedule(dz_min=0.2)
+    # each width is the float product of the one before, bit for bit
+    assert BAND_WIDTHS == (0.07, 0.052500000000000005, 0.03937500000000001,
+                           0.029531250000000005, 0.022148437500000003,
+                           0.016611328125, 0.01245849609375)
+    for wider, narrower in zip(BAND_WIDTHS, BAND_WIDTHS[1:]):
+        assert narrower == wider * 0.75
+    assert BAND_WIDTHS[-1] >= 0.01
+    assert BAND_WIDTHS[-1] * 0.75 < 0.01
 
 
 def test_refinement_history_is_nested():

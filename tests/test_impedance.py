@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from soilprobe.impedance import (
 )
 
 REST = ReferenceSignal()
+FILTER = ImpedanceParams(1.0, 40.0, 400.0)  # critically damped at 20 rad/s
 
 
 def closed_form_step(m, b, k, e0, t):
@@ -38,15 +40,15 @@ def run_filter(params, e, dt, n, state=None, ref=REST):
 
 def test_params_must_be_positive():
     with pytest.raises(ValueError):
-        ImpedanceParams(mass=0.0)
+        dataclasses.replace(FILTER, mass=0.0)
     with pytest.raises(ValueError):
-        ImpedanceParams(damping=-1.0)
+        dataclasses.replace(FILTER, damping=-1.0)
     with pytest.raises(ValueError):
-        ImpedanceParams(stiffness=0.0)
+        dataclasses.replace(FILTER, stiffness=0.0)
 
 
 def test_equilibrium_is_fixed_point():
-    params = ImpedanceParams()
+    params = FILTER
     state = ImpedanceState(0.3, 0.0, 0.0)
     ref = ReferenceSignal(0.3, 0.0, 0.0)
     after = impedance_step(state, ref, 0.0, params, 1e-3)
@@ -55,7 +57,7 @@ def test_equilibrium_is_fixed_point():
 
 
 def test_constant_error_spring_statics():
-    params = ImpedanceParams()
+    params = FILTER
     state = run_filter(params, 4.0, 1e-3, 3000)
     assert abs(state.position - 4.0 / params.stiffness) < 1e-9
     assert abs(state.velocity) < 1e-9
@@ -92,7 +94,7 @@ def test_overshoot_matches_damping_ratio():
 
 
 def test_linearity_doubles_deflection():
-    params = ImpedanceParams()
+    params = FILTER
     single = run_filter(params, 2.0, 1e-3, 2000)
     double = run_filter(params, 4.0, 1e-3, 2000)
     assert abs(double.position - 2.0 * single.position) < 1e-12
@@ -109,7 +111,7 @@ def test_halving_dt_halves_the_error():
 
 def test_divergence_raises():
     # dt far outside the stability envelope blows up and must be reported
-    params = ImpedanceParams()
+    params = FILTER
     state = ImpedanceState(1.0, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="filter diverged"):
         for _ in range(10000):
@@ -118,7 +120,7 @@ def test_divergence_raises():
 
 def test_dt_validation():
     with pytest.raises(ValueError):
-        impedance_step(ImpedanceState(), REST, 0.0, ImpedanceParams(), 0.0)
+        impedance_step(ImpedanceState(), REST, 0.0, FILTER, 0.0)
 
 
 def test_steady_state_reference_examples():

@@ -49,7 +49,7 @@ def test_trace_length_contract():
         trace = run_scenario(scenario_preset("moist", duration=duration, dt=dt))
         assert len(trace) == math.floor(duration / dt) + 1
         for name in TRACE_COLUMNS:
-            assert trace.column(name).size == len(trace)
+            assert getattr(trace, name).size == len(trace)
     assert np.all(np.diff(trace.t) > 0)
 
 
@@ -59,7 +59,7 @@ def test_run_is_deterministic():
     a = run_scenario(cfg)
     b = run_scenario(cfg)
     for name in TRACE_COLUMNS:
-        assert np.array_equal(a.column(name), b.column(name)), name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_moist_scenario_converges():
@@ -98,9 +98,9 @@ def test_divergent_config_truncates_with_flag():
         assert trace.failure_reason == reason
         assert len(trace) == rows
         for name in TRACE_COLUMNS:
-            assert trace.column(name).size == len(trace)
+            assert getattr(trace, name).size == len(trace)
             if name != "stiffness_est":
-                assert np.isfinite(trace.column(name)).all(), name
+                assert np.isfinite(getattr(trace, name)).all(), name
         summary = trace.summary()
         assert summary["failed"] and summary["failure_reason"] == trace.failure_reason
 
@@ -150,15 +150,9 @@ def test_csv_contract():
     assert len(first) == 9
     assert first[0] == "0"
     # reference: one %.9g cell per value, the approach rows' +inf included
-    columns = [trace.column(name) for name in TRACE_COLUMNS]
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
     assert lines[1:] == [",".join(f"{col[i]:.9g}" for col in columns) for i in range(len(trace))]
     assert "inf" in lines[1]
-
-
-def test_trace_column_rejects_unknown_name():
-    trace = run_scenario(scenario_preset("moist", duration=0.1))
-    with pytest.raises(KeyError):
-        trace.column("force")
 
 
 def test_summary_contents():
