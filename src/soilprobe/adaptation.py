@@ -62,8 +62,8 @@ class AdaptationParams:
             raise ValueError("drive_rate_gain must be non-negative")
         if self.error_weight <= 0 or self.error_rate_weight <= 0:
             raise ValueError("error weights must be positive")
-        if self.deriv_filter_tau < 0:
-            raise ValueError("deriv_filter_tau must be non-negative")
+        if self.deriv_filter_tau <= 0:
+            raise ValueError("deriv_filter_tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,7 @@ class AdaptationState:
 
 
 def _dirty_derivative(value: float, lp_state: float, tau: float, dt: float) -> tuple[float, float]:
-    """First-order low-pass differentiator; returns (derivative, new state).
-
-    tau = 0 degenerates to a raw backward difference.
-    """
-    if tau == 0.0:
-        return (value - lp_state) / dt, value
+    """First-order low-pass differentiator; returns (derivative, new state)."""
     lp_new = lp_state + dt / (tau + dt) * (value - lp_state)
     return (value - lp_new) / tau, lp_new
 

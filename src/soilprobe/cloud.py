@@ -22,14 +22,6 @@ class PointCloud:
         return self.points.shape[0]
 
     @property
-    def x(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.points[:, 1]
-
-    @property
     def z(self) -> np.ndarray:
         return self.points[:, 2]
 

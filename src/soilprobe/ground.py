@@ -74,8 +74,6 @@ def refinement_history(cloud: PointCloud) -> list[np.ndarray]:
     bin's z range, at each width of BAND_WIDTHS in turn.  Retained sets are
     nested by construction.
     """
-    if len(cloud) == 0:
-        raise ValueError("no points to bin")
     kept = np.arange(len(cloud))
     history = []
     for dz in BAND_WIDTHS:
@@ -90,9 +88,9 @@ def refinement_history(cloud: PointCloud) -> list[np.ndarray]:
 
 
 def refine_ground_band(cloud: PointCloud) -> PointCloud:
-    """Reduce a workspace cloud to the band around the dominant low surface."""
-    history = refinement_history(cloud)
-    return cloud.select(history[-1]).sort_by_z()
+    """Reduce a workspace cloud to the band around the dominant low surface,
+    keeping the input's point order."""
+    return cloud.select(refinement_history(cloud)[-1])
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,6 @@ class PlaneModel:
     normal: np.ndarray
     d: float
     inlier_indices: np.ndarray
-    threshold: float
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
@@ -146,8 +143,8 @@ def fit_plane_ransac(
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple collinear).
     """
-    pts = cloud.points[cloud.valid_mask()]
     valid_idx = np.flatnonzero(cloud.valid_mask())
+    pts = cloud.points[valid_idx]
     n = pts.shape[0]
     if n < 3:
         raise ValueError("plane fit failed: need at least 3 valid points")
@@ -156,7 +153,6 @@ def fit_plane_ransac(
 
     best_count = 0
     best_inliers = None
-    best_sample = None
     for _ in range(max_iters):
         i, j, k = rng.choice(n, size=3, replace=False)
         normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
@@ -171,25 +167,21 @@ def fit_plane_ransac(
         if count > best_count:
             best_count = count
             best_inliers = inliers
-            best_sample = (normal, d)
 
     if best_inliers is None or best_count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
 
     normal, d = _least_squares_plane(pts[best_inliers])
-    # Re-evaluate membership against the refined plane so the stored inliers
-    # actually lie within the threshold of the reported model.
+    # Keep the points within the threshold of the refit plane L.  At least 3
+    # remain: the winning sample plane S has residual 0 on its 3 points and
+    # below t on its other m-3 inliers, so sum r_S^2 < (m-3) t^2, and least
+    # squares gives sum r_L^2 <= sum r_S^2; were fewer than 3 inliers within t
+    # of L, at least m-2 would lie at t or beyond, so sum r_L^2 >= (m-2) t^2.
+    # Only rounding, at t below about 1e-7 of the cloud's size, can break it.
     final = np.abs(pts @ normal + d) < threshold
     if final.sum() < 3:
-        # refinement degraded the consensus (near-degenerate inlier cloud);
-        # keep the winning sample plane, whose inliers satisfy the threshold
-        normal, d = best_sample
-        flipped = _canonical_sign(normal)
-        if not np.array_equal(flipped, normal):
-            d = -d
-        normal = flipped
-        final = best_inliers
-    return PlaneModel(normal, d, valid_idx[final], threshold)
+        raise ValueError("plane fit failed: no plane consensus found")
+    return PlaneModel(normal, d, valid_idx[final])
 
 
 @dataclass(frozen=True)

