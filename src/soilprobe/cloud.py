@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,22 +86,34 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
     return cloud.select(keep).sort_by_z()
 
 
-# Text format: one `x,y,z` triple per line, 9 significant digits, `#` comments.
+# Text format: one `x,y,z` triple per line, 9 significant digits; `#` starts
+# a comment, on a line of its own or after the data.
 
 def save_cloud(cloud: PointCloud, path) -> None:
     np.savetxt(path, cloud.points, fmt="%.9g", delimiter=",")
 
 
 def load_cloud(path) -> PointCloud:
+    """Read a cloud file; an empty or comment-only file gives an empty cloud."""
     with open(path) as f:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                return PointCloud(np.loadtxt(f, delimiter=",", comments="#", ndmin=2))
+        except ValueError:
+            pass
+        # numpy rejected the text, and its row numbers are not consistent
+        # (0-based for a bad number, 1-based for a short line): parse again
+        # line by line, so a malformed file fails with an error naming its line.
+        f.seek(0)
         return cloud_from_text(f.read())
 
 
 def cloud_from_text(text: str) -> PointCloud:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         fields = line.split(",")
         if len(fields) != 3:

@@ -13,6 +13,8 @@ import numpy as np
 from .cloud import PointCloud, WorkspaceBounds, workspace_filter
 
 APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot center
+RANSAC_CONFIDENCE = 0.999  # chance that some hypothesis drew 3 inliers
+LOCAL_REFIT_ROUNDS = 5  # least-squares refits after the first, while the inliers grow
 
 # Bin width of each band-refinement pass, largest first: 7 cm, a quarter
 # narrower per pass, down to the last width of at least 1 cm.  Each width is
@@ -131,6 +133,15 @@ def _least_squares_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, float(-normal @ centroid)
 
 
+def _hypotheses_needed(count: int, n: int) -> int:
+    # Fischler & Bolles (1981): with an inlier share w, N = log(1 - p) /
+    # log(1 - w^3) draws hold at least one all-inlier triple with probability p.
+    all_inliers = (count / n) ** 3
+    if all_inliers == 1.0:
+        return 1
+    return math.ceil(math.log1p(-RANSAC_CONFIDENCE) / math.log1p(-all_inliers))
+
+
 def fit_plane_ransac(
     cloud: PointCloud,
     threshold: float = 0.005,
@@ -139,6 +150,12 @@ def fit_plane_ransac(
 ) -> PlaneModel:
     """Consensus plane fit: sample point triples, keep the largest inlier set,
     then refit that set by least squares.
+
+    Sampling stops once N = ceil(log(1 - p) / log(1 - w^3)) triples have been
+    drawn, where w is the best inlier share so far and p = RANSAC_CONFIDENCE,
+    or after max_iters triples, whichever comes first.  The refit repeats, up
+    to LOCAL_REFIT_ROUNDS more times, while its inlier set grows (LO-RANSAC,
+    Chum, Matas & Kittler 2003).
 
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple collinear).
@@ -153,7 +170,10 @@ def fit_plane_ransac(
 
     best_count = 0
     best_inliers = None
-    for _ in range(max_iters):
+    needed = max_iters
+    drawn = 0
+    while drawn < needed:
+        drawn += 1
         i, j, k = rng.choice(n, size=3, replace=False)
         normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
         norm = np.linalg.norm(normal)
@@ -167,6 +187,7 @@ def fit_plane_ransac(
         if count > best_count:
             best_count = count
             best_inliers = inliers
+            needed = min(max_iters, _hypotheses_needed(count, n))
 
     if best_inliers is None or best_count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
@@ -181,6 +202,14 @@ def fit_plane_ransac(
     final = np.abs(pts @ normal + d) < threshold
     if final.sum() < 3:
         raise ValueError("plane fit failed: no plane consensus found")
+    # Local refit: only a strictly larger inlier set replaces the current one,
+    # so the 3 kept above stay a lower bound.
+    for _ in range(LOCAL_REFIT_ROUNDS):
+        grown_normal, grown_d = _least_squares_plane(pts[final])
+        grown = np.abs(pts @ grown_normal + grown_d) < threshold
+        if grown.sum() <= final.sum():
+            break
+        normal, d, final = grown_normal, grown_d, grown
     return PlaneModel(normal, d, valid_idx[final])
 
 
@@ -218,19 +247,13 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
     return GroundEstimate(plane, center, near, approach)
 
 
-def detect_ground(
-    cloud: PointCloud,
-    bounds: WorkspaceBounds,
-    threshold: float = 0.005,
-    max_iters: int = 500,
-    seed: int = 0,
-) -> GroundEstimate:
+def detect_ground(cloud: PointCloud, bounds: WorkspaceBounds, seed: int = 0) -> GroundEstimate:
     """Full detection pipeline: workspace filter, band refinement, plane fit."""
     inside = workspace_filter(cloud, bounds)
     if len(inside) == 0:
         raise ValueError("no points inside the workspace bounds")
     band = refine_ground_band(inside)
-    plane = fit_plane_ransac(band, threshold=threshold, max_iters=max_iters, seed=seed)
+    plane = fit_plane_ransac(band, seed=seed)
     return extract_ground_estimate(plane, band)
 
 

@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soilprobe.cloud import (
     PointCloud,
     WorkspaceBounds,
-    cloud_from_text,
     load_cloud,
     save_cloud,
     workspace_filter,
@@ -87,26 +90,46 @@ def test_text_roundtrip(tmp_path):
     assert np.max(np.abs(back.points - cloud.points)) < 1e-9
 
 
-def test_text_format_comments_and_blanks():
-    text = "# header comment\n\n0.1,0.2,0.3\n# trailing\n"
-    cloud = cloud_from_text(text)
-    assert len(cloud) == 1
-    assert cloud.points[0, 1] == 0.2
+def write_cloud_file(tmp_path, data: bytes):
+    path = tmp_path / "cloud.txt"
+    path.write_bytes(data)
+    return path
 
 
-def test_text_format_reports_line_numbers():
-    with pytest.raises(ValueError, match="line 2"):
-        cloud_from_text("0.1,0.2,0.3\n0.1,0.2\n")
-    with pytest.raises(ValueError, match="line 1"):
-        cloud_from_text("a,b,c\n")
+def test_text_format_comments_and_blanks(tmp_path):
+    text = b"# header comment\n\n0.1,0.2,0.3  # trailing comment\n   \n# last\n"
+    cloud = load_cloud(write_cloud_file(tmp_path, text))
+    assert cloud.points.tolist() == [[0.1, 0.2, 0.3]]
+
+
+def test_text_format_reports_line_numbers(tmp_path):
+    with pytest.raises(ValueError, match="line 2: expected 3"):
+        load_cloud(write_cloud_file(tmp_path, b"0.1,0.2,0.3\n0.1,0.2\n"))
+    with pytest.raises(ValueError, match="line 3: could not convert"):
+        load_cloud(write_cloud_file(tmp_path, b"0.1,0.2,0.3\n# note\na,0.2,0.3\n"))
+    with pytest.raises(ValueError, match="line 1: expected 3"):
+        load_cloud(write_cloud_file(tmp_path, b"0.1,0.2\n0.3,0.4\n"))
 
 
 def test_empty_text_gives_empty_cloud(tmp_path):
-    cloud = cloud_from_text("")
-    assert len(cloud) == 0
+    for text in (b"", b"\n\n", b"# only a comment\n#\n"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cloud = load_cloud(write_cloud_file(tmp_path, text))
+        assert cloud.points.shape == (0, 3)
     path = tmp_path / "empty.txt"
     save_cloud(cloud, path)
     assert path.read_text() == ""
+
+
+def test_text_format_spacing_line_ends_and_specials(tmp_path):
+    text = b" 0.1 , 0.2 ,0.3 \r\n\t1,-2,3e-3\r\nnan,inf,-inf\r\nNaN,0,Infinity\r\n"
+    cloud = load_cloud(write_cloud_file(tmp_path, text))
+    assert cloud.points.shape == (4, 3)
+    assert cloud.points[:2].tolist() == [[0.1, 0.2, 0.3], [1.0, -2.0, 3e-3]]
+    assert np.isnan(cloud.points[2, 0]) and np.isnan(cloud.points[3, 0])
+    assert cloud.points[2, 1:].tolist() == [math.inf, -math.inf]
+    assert cloud.points[3, 1:].tolist() == [0.0, math.inf]
 
 
 def test_rerendered_text_is_identical(tmp_path):
@@ -117,6 +140,20 @@ def test_rerendered_text_is_identical(tmp_path):
     assert second.read_text() == first.read_text()
 
 
-def test_nan_survives_text_roundtrip():
-    cloud = cloud_from_text("nan,0.1,0.2\n")
+def test_nan_survives_text_roundtrip(tmp_path):
+    cloud = load_cloud(write_cloud_file(tmp_path, b"nan,0.1,0.2\n"))
     assert math.isnan(cloud.points[0, 0])
+
+
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(points=arrays(float, st.tuples(st.integers(0, 12), st.just(3)),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_text_roundtrip_keeps_bytes_and_nan(tmp_path, points):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_cloud(PointCloud(points), first)
+    back = load_cloud(first)
+    save_cloud(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert back.points.shape == points.shape
+    assert np.array_equal(np.isnan(back.points), np.isnan(points))

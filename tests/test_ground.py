@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,68 @@ def test_ransac_refit_keeps_consensus(seed, n, spread, log_threshold):
     model = fit_plane_ransac(PointCloud(points), threshold=threshold, seed=seed)
     assert model.inlier_count >= 3
     assert (np.abs(points[model.inlier_indices] @ model.normal + model.d) < threshold).all()
+
+
+class CountingRng:
+    """A generator that counts its choice() calls: one per RANSAC hypothesis."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def ransac_draws(monkeypatch, cloud, **kwargs):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        made.append(CountingRng(default_rng(seed)))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", counting_rng)
+        fit_plane_ransac(cloud, **kwargs)
+    assert len(made) == 1
+    return made[0].draws
+
+
+def plane_with_outliers(rng, n_in, n_out, noise=0.002):
+    # inliers within `noise` of z = 0.8 + 0.1 x - 0.05 y, outliers uniform in
+    # a box 20 cm high around it
+    xy = rng.uniform(-0.1, 0.1, (n_in + n_out, 2))
+    z = 0.8 + 0.1 * xy[:, 0] - 0.05 * xy[:, 1]
+    z[:n_in] += rng.uniform(-noise, noise, n_in)
+    z[n_in:] = rng.uniform(0.7, 0.9, n_out)
+    return PointCloud(np.column_stack([xy, z]))
+
+
+def test_ransac_stops_at_confidence_bound(monkeypatch):
+    # N = ceil(log(1 - 0.999) / log(1 - w^3)) hypotheses, capped by max_iters
+    rng = np.random.default_rng(0)
+    coplanar = PointCloud(np.column_stack([rng.uniform(-0.1, 0.1, (200, 2)), np.full(200, 0.8)]))
+    assert ransac_draws(monkeypatch, coplanar, seed=0) == 1  # w = 1
+    bound = math.ceil(math.log(0.001) / math.log(1.0 - 0.4**3))
+    assert bound == 105
+    for seed in range(5):
+        cloud = plane_with_outliers(np.random.default_rng(seed), n_in=40, n_out=60, noise=0.0)
+        assert ransac_draws(monkeypatch, cloud, seed=seed) <= bound  # w >= 0.4
+    sparse = plane_with_outliers(np.random.default_rng(1), n_in=10, n_out=190)
+    assert ransac_draws(monkeypatch, sparse, max_iters=50, seed=1) == 50  # w ~ 0.05
+
+
+def test_ransac_recovers_plane_among_60_percent_outliers():
+    threshold = 0.005
+    for seed in range(20):
+        cloud = plane_with_outliers(np.random.default_rng(100 + seed), n_in=200, n_out=300)
+        model = fit_plane_ransac(cloud, threshold=threshold, seed=seed)
+        recovered = np.count_nonzero(model.inlier_indices < 200)
+        assert recovered >= 0.95 * 200, (seed, recovered)
+        dist = np.abs(cloud.points[model.inlier_indices] @ model.normal + model.d)
+        assert (dist < threshold).all()
 
 
 def test_ransac_failure_modes():
