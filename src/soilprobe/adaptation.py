@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .impedance import ImpedanceParams
 
@@ -66,8 +67,7 @@ class AdaptationParams:
             raise ValueError("deriv_filter_tau must be positive")
 
 
-@dataclass(frozen=True)
-class AdaptationState:
+class AdaptationState(NamedTuple):
     """Compliance estimate with its two derivatives plus the low-pass states
     of the error and composite-error differentiators."""
 

@@ -32,9 +32,9 @@ def environment_force(x: float, env: EnvironmentModel) -> float:
 @dataclass(frozen=True)
 class SensorModel:
     """Imperfect force sensing: a slowly drifting baseline offset (bounded
-    random walk) plus white noise.  All parameters zero gives an exact
-    sensor.  Noise is clipped at four standard deviations so the advertised
-    reading bound |bias| + 4*sigma holds on every sample."""
+    random walk) plus white noise.  Zero bias amplitude and zero white noise
+    give an exact sensor.  Noise is clipped at four standard deviations so
+    the advertised reading bound |bias| + 4*sigma holds on every sample."""
 
     bias_amplitude: float
     bias_drift_rate: float
@@ -45,8 +45,20 @@ class SensorModel:
             raise ValueError("sensor noise parameters must be non-negative")
 
 
+# Noise samples drawn per RNG call: a run of n noisy steps makes about
+# 2 * n / BLOCK numpy calls.  Larger blocks gain little per step and hold
+# more memory.
+BLOCK = 1024
+
+
 class SensorState:
-    """Mutable per-run sensor state: the current bias and the noise stream."""
+    """Mutable per-run sensor state: the current bias and the noise stream.
+
+    Noise is drawn BLOCK samples at a time: one uniform block for the bias
+    walk, then one clipped normal block for the white noise, handed out one
+    pair per read.  A model whose bias amplitude and white noise are both
+    zero is exact: read returns the true force and draws nothing.
+    """
 
     def __init__(self, model: SensorModel, seed: int = 0):
         self.model = model
@@ -54,12 +66,27 @@ class SensorState:
         # The run starts with an already-offset baseline: model imprecision
         # is present from the first reading, not accumulated from zero.
         self.bias = float(self.rng.uniform(-1.0, 1.0)) * model.bias_amplitude
+        # bias and white noise would both be +-0.0, and f_true (never -0.0)
+        # plus +-0.0 is f_true bit for bit
+        self._exact = model.bias_amplitude == 0.0 and model.white_noise_std == 0.0
+        self._noise: list[tuple[float, float]] = []  # (drift rate, white) pairs, next one last
+
+    def _draw(self) -> list[tuple[float, float]]:
+        m = self.model
+        drift = self.rng.uniform(-1.0, 1.0, BLOCK) * m.bias_drift_rate
+        white = np.clip(self.rng.standard_normal(BLOCK), -4.0, 4.0) * m.white_noise_std
+        pairs = list(zip(drift.tolist(), white.tolist()))
+        pairs.reverse()
+        return pairs
 
     def read(self, f_true: float, dt: float) -> float:
+        if self._exact:
+            return f_true
+        if not self._noise:
+            self._noise = self._draw()
+        drift, white = self._noise.pop()
         m = self.model
-        step = self.rng.uniform(-1.0, 1.0) * m.bias_drift_rate * dt
-        self.bias = min(max(self.bias + step, -m.bias_amplitude), m.bias_amplitude)
-        white = min(max(self.rng.standard_normal(), -4.0), 4.0) * m.white_noise_std
+        self.bias = min(max(self.bias + drift * dt, -m.bias_amplitude), m.bias_amplitude)
         return f_true + self.bias + white
 
 

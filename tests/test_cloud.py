@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -100,6 +101,15 @@ def test_text_format_comments_and_blanks(tmp_path):
     text = b"# header comment\n\n0.1,0.2,0.3  # trailing comment\n   \n# last\n"
     cloud = load_cloud(write_cloud_file(tmp_path, text))
     assert cloud.points.tolist() == [[0.1, 0.2, 0.3]]
+
+
+def test_text_numpy_rejects_still_parses(tmp_path):
+    # np.loadtxt rejects these; the line parser reads them, at its own speed
+    for text, points in ((b"1,2,3\n   \n4,5,6\n", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                         (b"1_0,2,3\n", [[10.0, 2.0, 3.0]])):
+        with pytest.raises(ValueError):
+            np.loadtxt(io.BytesIO(text), delimiter=",", comments="#", ndmin=2)
+        assert load_cloud(write_cloud_file(tmp_path, text)).points.tolist() == points
 
 
 def test_text_format_reports_line_numbers(tmp_path):

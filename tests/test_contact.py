@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from soilprobe.contact import (
+    BLOCK,
     EnvironmentModel,
     RobotModel,
     SensorModel,
@@ -70,6 +71,54 @@ def test_sensor_bias_stays_within_amplitude():
     for _ in range(5000):
         sensor.read(0.0, 1e-3)
         assert abs(sensor.bias) <= 0.2
+
+
+def test_sensor_exact_model_draws_nothing():
+    sensor = SensorState(SensorModel(0.0, 5.0, 0.0), seed=3)
+    state = sensor.rng.bit_generator.state
+    assert all(sensor.read(f, 1e-3) == f for f in np.linspace(0.0, 9.0, 2 * BLOCK))
+    assert sensor.rng.bit_generator.state == state
+
+
+def test_sensor_blocks_deterministic_for_fixed_seed():
+    model = SensorModel(bias_amplitude=0.5, bias_drift_rate=0.3, white_noise_std=0.1)
+    n = 3 * BLOCK + 7
+    a, b, c = SensorState(model, seed=42), SensorState(model, seed=42), SensorState(model, seed=43)
+    series_a = [a.read(1.0, 1e-3) for _ in range(n)]
+    assert [b.read(1.0, 1e-3) for _ in range(n)] == series_a
+    series_c = [c.read(1.0, 1e-3) for _ in range(n)]
+    # every block differs, the last, partly used one included
+    for start in range(0, n, BLOCK):
+        assert series_c[start:start + BLOCK] != series_a[start:start + BLOCK]
+
+
+def test_sensor_blocks_follow_the_draw_order():
+    # reference: the initial bias draw, then per block BLOCK uniforms for the
+    # bias walk and BLOCK clipped normals, handed out one pair per read
+    n, dt, seed = 3 * BLOCK + 7, 1e-3, 5
+    model = SensorModel(bias_amplitude=0.5, bias_drift_rate=0.3, white_noise_std=0.1)
+    amp = model.bias_amplitude
+    rng = np.random.default_rng(seed)
+    bias = float(rng.uniform(-1.0, 1.0)) * amp
+    expected = []
+    while len(expected) < n:
+        drift = rng.uniform(-1.0, 1.0, BLOCK).tolist()
+        white = np.clip(rng.standard_normal(BLOCK), -4.0, 4.0).tolist()
+        for u, w in zip(drift, white):
+            bias = min(max(bias + u * model.bias_drift_rate * dt, -amp), amp)
+            expected.append(2.0 + bias + w * model.white_noise_std)
+    sensor = SensorState(model, seed)
+    assert [sensor.read(2.0, dt) for _ in range(n)] == expected[:n]
+
+
+def test_sensor_bounds_hold_across_blocks():
+    model = SensorModel(bias_amplitude=0.2, bias_drift_rate=50.0, white_noise_std=0.1)
+    bound = 0.2 + 4.0 * 0.1
+    for seed in range(3):
+        sensor = SensorState(model, seed=seed)
+        for _ in range(3 * BLOCK + 7):
+            assert abs(sensor.read(0.0, 1e-3)) <= bound + 1e-12
+            assert abs(sensor.bias) <= 0.2
 
 
 def test_sensor_validation():

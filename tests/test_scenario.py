@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soilprobe.scenario import (
+    CSV_CHUNK_ROWS,
     SCENARIO_STIFFNESS,
     TRACE_COLUMNS,
     ScenarioConfig,
@@ -136,6 +137,13 @@ def test_rigid_contact_under_sensor_noise_stays_safe():
         assert summary["kappa_final"] <= 2e-6, seed
 
 
+def test_noise_free_sensor_reads_the_true_force():
+    for kind in SCENARIO_STIFFNESS:
+        trace = run_scenario(scenario_preset(kind, duration=3.0))
+        assert np.array_equal(trace.f_meas, trace.f_true), kind
+        assert trace.f_true.max() > 0.0, kind
+
+
 def test_csv_contract():
     trace = run_scenario(scenario_preset("moist", duration=0.2))
     text = trace_to_csv(trace)
@@ -150,6 +158,16 @@ def test_csv_contract():
     columns = [getattr(trace, name) for name in TRACE_COLUMNS]
     assert lines[1:] == [",".join(f"{col[i]:.9g}" for col in columns) for i in range(len(trace))]
     assert "inf" in lines[1]
+
+
+def test_csv_rows_across_chunks():
+    trace = run_scenario(scenario_preset("rigid", duration=3.0, seed=2, bias_amplitude=0.3,
+                                         white_noise_std=0.02))
+    assert len(trace) > 2 * CSV_CHUNK_ROWS
+    lines = trace_to_csv(trace).splitlines()
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
+    assert lines[0] == CSV_HEADER
+    assert lines[1:] == [",".join(f"{col[i]:.9g}" for col in columns) for i in range(len(trace))]
 
 
 def test_summary_contents():
