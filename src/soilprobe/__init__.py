@@ -16,7 +16,7 @@ from .cloud import (
     save_cloud,
     workspace_filter,
 )
-from .config import ConfigError, load_scenario_config, scenario_config_from_text
+from .config import ConfigError, load_scenario_config
 from .contact import (
     EnvironmentModel,
     RobotModel,

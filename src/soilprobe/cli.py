@@ -6,8 +6,12 @@ Subcommands:
   pipeline  scene -> detection -> contact scenario, end to end
   bench     repeated seeded runs -> dispersion statistics
 
-A flag given on the command line, as `--seed 3` or `--seed=3`, beats the
-same key in the --config file, and the file beats the built-in default.
+Every command merges its settings the same way: a flag given on the
+command line, as `--seed 3` or `--seed=3`, beats the same key in the
+--config file, and the file beats the built-in default.  The merged
+settings are checked before any scene is loaded or run started: an
+unknown, duplicate or empty key, a value that does not convert, a
+negative seed or an unknown scenario kind is a usage error.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or model error.
 Diagnostics go to stderr; data goes to files or stdout.
@@ -21,15 +25,13 @@ import sys
 from pathlib import Path
 
 from .cloud import load_cloud
-from .config import ConfigError, load_scenario_config, read_config
+from .config import SCENARIO_TYPES, ConfigError, read_config, scenario_config, seed
 from .ground import detect_ground, estimate_to_text
 from .scenario import (
     SCENARIO_KINDS,
-    ScenarioConfig,
     format_run_statistics,
     format_summary,
     run_scenario,
-    scenario_preset,
     summarize_runs,
     trace_to_csv,
 )
@@ -40,29 +42,28 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _fill_from_config(args: argparse.Namespace, types: dict[str, type], **defaults) -> None:
-    """Fill each flag left unset from the --config file, else from `defaults`.
-
-    `types` maps the keys the command's file accepts to their value types.
-    A flag given on the command line, in either spelling, keeps its value.
-    """
-    given = read_config(Path(args.config).read_text(), types) if args.config else {}
-    if given.get("scenario") not in (None, *SCENARIO_KINDS):
-        raise ConfigError(f"invalid value for 'scenario': {given['scenario']!r} "
-                          f"(choose from {', '.join(SCENARIO_KINDS)})")
-    for key in types:
-        if getattr(args, key) is None:
-            setattr(args, key, given.get(key, defaults.get(key)))
+# the keys each command's --config file accepts, with their converters;
+# simulate and bench accept SCENARIO_TYPES, the fields of ScenarioConfig
+DETECT_TYPES = {"input": str, "seed": seed, "out": str}
+PIPELINE_TYPES = {"input": str, "seed": seed, "scenario": str, "out_dir": str}
 
 
-def _load_scene(args: argparse.Namespace):
-    """Scene from --input file, or a generated one with the run's seed."""
-    if args.input:
-        cloud = load_cloud(args.input)
-        _info(f"loaded {len(cloud)} points from {args.input}")
+def _settings(args: argparse.Namespace, types: dict, **defaults) -> dict:
+    """Each key of `types` that has a value: its flag if given, else the
+    --config file's value, else its entry in `defaults`."""
+    flags = {key: getattr(args, key) for key in types if getattr(args, key, None) is not None}
+    given = read_config(args.config, types) if args.config else {}
+    return {**defaults, **given, **flags}
+
+
+def _load_scene(path: str | None, seed: int):
+    """Scene from the input file, or a generated one with the run's seed."""
+    if path:
+        cloud = load_cloud(path)
+        _info(f"loaded {len(cloud)} points from {path}")
         return cloud, None
-    cloud, truth = generate_pot_scene(PotSceneParams(), seed=args.seed)
-    _info(f"generated scene with {len(cloud)} points (seed {args.seed})")
+    cloud, truth = generate_pot_scene(PotSceneParams(), seed=seed)
+    _info(f"generated scene with {len(cloud)} points (seed {seed})")
     return cloud, truth
 
 
@@ -74,28 +75,19 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    _fill_from_config(args, {"input": str, "seed": int, "out": str}, seed=0)
-    cloud, _ = _load_scene(args)
-    est = detect_ground(cloud, scene_bounds(), seed=args.seed)
+    settings = _settings(args, DETECT_TYPES, seed=0)
+    cloud, _ = _load_scene(settings.get("input"), settings["seed"])
+    est = detect_ground(cloud, scene_bounds(), seed=settings["seed"])
     _info(f"plane fit with {est.plane.inlier_count} inliers")
-    _write_text(args.out, estimate_to_text(est))
-    if args.out:
-        _info(f"estimate written to {args.out}")
+    out = settings.get("out")
+    _write_text(out, estimate_to_text(est))
+    if out:
+        _info(f"estimate written to {out}")
     return 0
 
 
-def _scenario_config(args: argparse.Namespace) -> ScenarioConfig:
-    """The --config file's scenario, else a preset, with the given flags
-    applied over it."""
-    flags = {key: getattr(args, key) for key in ("scenario", "seed")
-             if getattr(args, key) is not None}
-    if args.config:
-        return load_scenario_config(args.config, **flags)
-    return scenario_preset(flags.pop("scenario", "custom"), **flags)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _scenario_config(args)
+    cfg = scenario_config(**_settings(args, SCENARIO_TYPES))
     trace = run_scenario(cfg)
     if trace.failed:
         _info(f"run failed: {trace.failure_reason} (trace truncated at {len(trace)} samples)")
@@ -109,27 +101,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    _fill_from_config(args, {"input": str, "seed": int, "scenario": str, "out_dir": str},
-                      seed=0, scenario="moist", out_dir="pipeline_out")
-    cloud, truth = _load_scene(args)
-    est = detect_ground(cloud, scene_bounds(), seed=args.seed)
+    settings = _settings(args, PIPELINE_TYPES, seed=0, scenario="moist", out_dir="pipeline_out")
+    cfg = scenario_config(settings["scenario"], seed=settings["seed"])
+    cloud, truth = _load_scene(settings.get("input"), cfg.seed)
+    est = detect_ground(cloud, scene_bounds(), seed=cfg.seed)
     _info(f"detected soil plane: z={est.center.z:.4f} m, {est.plane.inlier_count} inliers")
 
     # the probe descends along -z; the scenario runs on a depth axis where
     # larger values penetrate deeper, so surfaces map through a sign flip
     detected_depth = -est.z_at(est.approach.x, est.approach.y)
     true_depth = -truth.center.z if truth is not None else detected_depth
-    cfg = scenario_preset(
-        args.scenario,
-        seed=args.seed,
-        surface_true=true_depth,
-        surface_detected=detected_depth,
-    )
+    cfg = dataclasses.replace(cfg, surface_true=true_depth, surface_detected=detected_depth)
     trace = run_scenario(cfg)
     if trace.failed:
         _info(f"run failed: {trace.failure_reason}")
 
-    out_dir = Path(args.out_dir)
+    out_dir = Path(settings["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "estimate.txt").write_text(estimate_to_text(est))
     (out_dir / "trace.csv").write_text(trace_to_csv(trace))
@@ -139,7 +126,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    base = _scenario_config(args)
+    base = scenario_config(**_settings(args, SCENARIO_TYPES))
     traces = []
     failures = 0
     for i in range(args.repeats):
@@ -171,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, scene=False, scenario=False):
-        p.add_argument("--seed", type=int,
+        p.add_argument("--seed", type=seed,
                        help="seed for generation and fitting (default: the config file's, else 0)")
         p.add_argument("--config", help="key=value config file (flags override)")
         if scene:

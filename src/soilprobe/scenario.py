@@ -82,7 +82,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind: '{self.scenario}'")
+            raise ValueError(f"unknown scenario kind: '{self.scenario}' "
+                             f"(choose from {', '.join(SCENARIO_KINDS)})")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.dt <= 0:

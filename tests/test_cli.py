@@ -1,9 +1,15 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from soilprobe.cli import main
+from soilprobe.cli import DETECT_TYPES, PIPELINE_TYPES, main
 from soilprobe.cloud import save_cloud
+from soilprobe.config import SCENARIO_TYPES
+from soilprobe.scenario import ScenarioConfig
 from soilprobe.scene import generate_pot_scene
 
 CSV_HEADER = "t,x_r,x_c,x,f_true,f_meas,e,kappa,stiffness_est"
@@ -136,18 +142,56 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_unknown_config_key_exits_1(tmp_path, capsys):
+COMMAND_TYPES = {"detect": DETECT_TYPES, "simulate": SCENARIO_TYPES,
+                 "pipeline": PIPELINE_TYPES, "bench": SCENARIO_TYPES}
+
+
+@pytest.mark.parametrize("command", COMMAND_TYPES)
+def test_config_faults_exit_1_on_every_command(tmp_path, capsys, command):
+    """Every command reads its settings through one path: the same fault
+    exits 1 with the same message, before any scene or run is made."""
+    types = COMMAND_TYPES[command]
+    out = tmp_path / "out"
+    out_flag = ["--out-dir" if command == "pipeline" else "--out", str(out)]
+    faults = {
+        "stifness = 100\n": "unknown config key: 'stifness'",
+        "generate = true\n": "unknown config key: 'generate'",
+        # the adaptation law's signs are fixed
+        "drive_sign = 1\n": "unknown config key: 'drive_sign'",
+        "rate_sign = 1\n": "unknown config key: 'rate_sign'",
+        "seed = 1.5\n": "invalid value for 'seed': '1.5'",
+        "seed = 1\nseed = 2\n": "duplicate config key: 'seed'",
+        "seed = -2\n": "invalid value for 'seed': '-2'",
+    }
+    for key in types:
+        faults[f"{key} =\n"] = f"invalid value for '{key}': ''"
+    if "scenario" in types:
+        faults["scenario = muddy\n"] = \
+            "unknown scenario kind: 'muddy' (choose from moist, dry, rigid, custom)"
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("stifness = 100\n")
-    assert run("simulate", "--config", str(cfg)) == 1
-    assert "stifness" in capsys.readouterr().err
-    cfg.write_text("generate = true\n")
-    assert run("detect", "--config", str(cfg)) == 1
-    assert "generate" in capsys.readouterr().err
-    for key in ("drive_sign", "rate_sign"):  # the adaptation law's signs are fixed
-        cfg.write_text(f"{key} = 1\n")
-        assert run("simulate", "--config", str(cfg)) == 1
-        assert key in capsys.readouterr().err
+    for text, message in faults.items():
+        cfg.write_text(text)
+        assert run(command, "--config", str(cfg), *out_flag) == 1, text
+        assert capsys.readouterr().err == f"error: {message}\n", text
+    for spelling in (["--seed=-1"], ["--seed", "-1"]):
+        assert run(command, *spelling, *out_flag) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"soilprobe {command}: error: argument --seed: invalid seed value: '-1'"
+    assert not out.exists()
+
+
+def test_readme_config_table_matches_the_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files\n", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            commands, keys = line.strip("|").split("|")
+            rows[tuple(re.findall(r"`(\w+)`", commands))] = re.findall(r"`([a-z_]+)`", keys)
+    assert rows[("detect",)] == list(DETECT_TYPES)
+    assert rows[("pipeline",)] == list(PIPELINE_TYPES)
+    named = rows[("simulate", "bench")]
+    assert named and set(named) <= {field.name for field in dataclasses.fields(ScenarioConfig)}
 
 
 def test_malformed_config_exits_1(tmp_path):
@@ -169,15 +213,6 @@ def test_usage_errors_exit_1(capsys):
         assert run("bench", "--repeats", repeats) == 1
         assert "--repeats" in capsys.readouterr().err
     assert run("--help") == 0
-
-
-def test_pipeline_config_scenario_is_checked_before_detection(tmp_path, capsys):
-    cfg = tmp_path / "pipe.cfg"
-    cfg.write_text("scenario = muddy\n")
-    assert run("pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "run")) == 1
-    err = capsys.readouterr().err
-    assert "muddy" in err
-    assert "detected soil plane" not in err
 
 
 def test_bench_statistics(tmp_path):
