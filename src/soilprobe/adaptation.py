@@ -22,6 +22,10 @@ error convention drives kappa onto its lower clamp and never converges.
 The sign of the q-derivative term appears both ways in the literature;
 plus is the stabilizing choice (it adds damping proportional to the
 contact stiffness).
+
+scenario.run_scenario writes adaptation_step's arithmetic out inline in
+its step loop; adaptation_step is the reference that the tests hold that
+loop to, bit for bit.
 """
 
 from __future__ import annotations

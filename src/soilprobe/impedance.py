@@ -7,6 +7,10 @@ trajectories:
     m (xdd_c - xdd_r) + b (xd_c - xd_r) + k (x_c - x_r) = e
 
 All quantities are scalars of one axis.
+
+scenario.run_scenario writes impedance_step's arithmetic out inline in its
+step loop; impedance_step is the reference that the tests hold that loop
+to, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ class ImpedanceParams:
 class ImpedanceState(NamedTuple):
     """Commanded position, velocity and acceleration of the filter.
 
-    The step loop builds a new record every step, so the records are named
-    tuples: as immutable as a frozen dataclass and cheaper to build."""
+    A loop over impedance_step builds a new record every step, so the
+    records are named tuples: as immutable as a frozen dataclass and
+    cheaper to build."""
 
     position: float = 0.0
     velocity: float = 0.0

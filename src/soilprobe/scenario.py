@@ -4,39 +4,22 @@ contact, track a force setpoint while the compliance estimate adapts."""
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import (
-    AdaptationParams,
-    AdaptationState,
-    adaptation_step,
-    position_reference,
-    stiffness_estimate,
-)
-from .contact import (
-    EnvironmentModel,
-    RobotModel,
-    SensorModel,
-    SensorState,
-    environment_force,
-    robot_step,
-)
-from .impedance import (
-    ImpedanceParams,
-    ImpedanceState,
-    ReferenceSignal,
-    impedance_step,
-    steady_state_reference,
-)
+from .adaptation import COMPLIANCE_FLOOR, AdaptationParams, stiffness_estimate
+from .contact import EnvironmentModel, RobotModel, SensorModel, SensorState
+from .impedance import ImpedanceParams, steady_state_reference
 
 SCENARIO_STIFFNESS = {"moist": 500.0, "dry": 5000.0, "rigid": 1e6}
 SCENARIO_KINDS = (*SCENARIO_STIFFNESS, "custom")
 
 TRACE_COLUMNS = ("t", "x_r", "x_c", "x", "f_true", "f_meas", "e", "kappa", "stiffness_est")
 RUN_METRICS = ("kappa_final", "settling_time", "steady_state_error", "peak_force")
+# One trace row: the TRACE_COLUMNS values of one step as native doubles.
+_TRACE_ROW = struct.Struct(f"{len(TRACE_COLUMNS)}d")
 
 
 @dataclass(frozen=True)
@@ -88,6 +71,8 @@ class ScenarioConfig:
             raise ValueError("duration must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.approach_height < 0:
             raise ValueError("approach_height must be non-negative")
         if self.approach_speed <= 0 or self.contact_speed <= 0:
@@ -197,16 +182,6 @@ def _entry_time(t: np.ndarray, abs_e: np.ndarray, band: float) -> float:
     return float(t[last_out + 1])
 
 
-def _approach_rate(remaining: float, cfg: ScenarioConfig) -> float:
-    """Reference speed during the approach: full speed far out, a linear
-    taper across the deceleration band, and a slow touch speed from there
-    on (also past the detected surface, until contact actually fires)."""
-    if remaining >= cfg.decel_band:
-        return cfg.approach_speed
-    tapered = cfg.approach_speed * remaining / cfg.decel_band
-    return max(cfg.contact_speed, tapered)
-
-
 def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     """Simulate one probing run.
 
@@ -228,75 +203,127 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
     Divergence of either the filter or the adaptation law truncates the
     trace and sets the failure flag; it never raises.
+
+    The loop calls no step function: the math of environment_force,
+    adaptation_step, position_reference, stiffness_estimate,
+    impedance_step and robot_step is written out on local floats in their
+    operand order, and the tests hold every trace column equal, bit for
+    bit, to a loop that calls those functions.
     """
     n = int(math.floor(cfg.duration / cfg.dt)) + 1
     dt = cfg.dt
+    read = SensorState(cfg.sensor_model(), cfg.seed).read
+    mass, damping, stiffness = cfg.mass, cfg.damping, cfg.stiffness
+    drive_gain, drive_rate_gain = cfg.drive_gain, cfg.drive_rate_gain
+    error_weight, error_rate_weight = cfg.error_weight, cfg.error_rate_weight
+    tau = cfg.deriv_filter_tau
+    lp_gain = dt / (tau + dt)  # the dirty derivatives' low-pass gain
+    k_env, surface_true = cfg.env_stiffness, cfg.surface_true
+    setpoint, surface = cfg.force_setpoint, cfg.surface_detected
+    decel_band, threshold = cfg.decel_band, cfg.contact_threshold
+    approach_speed, contact_speed = cfg.approach_speed, cfg.contact_speed
+    # branch on tau itself: a huge tau can round the lag factor to 0
+    lagged = cfg.tracking_tau != 0.0
+    lag = 1.0 - math.exp(-dt / cfg.tracking_tau) if lagged else 0.0
+    adapting = not cfg.fixed_reference
+    isfinite, inf, floor = math.isfinite, math.inf, COMPLIANCE_FLOOR
 
-    env = cfg.environment_model()
-    sensor = SensorState(cfg.sensor_model(), cfg.seed)
-    robot = cfg.robot_model()
-    imp = cfg.impedance_params()
-    adp = cfg.adaptation_params()
-
-    start = cfg.surface_detected - cfg.approach_height
-    filt = ImpedanceState(start, 0.0, 0.0)
-    x = start
-    x_ref = start
-    adapt: AdaptationState | None = None
-    in_force_phase = bool(cfg.fixed_reference)
+    x = x_c = x_ref = surface - cfg.approach_height
+    v_c = ref_rate = 0.0
+    kappa = kappa_rate = kappa_accel = error_lp = q_lp = 0.0
+    in_force_phase = cfg.fixed_reference
     if cfg.fixed_reference:
-        x_ref = steady_state_reference(cfg.force_setpoint, cfg.env_stiffness, cfg.surface_detected)
+        x_ref = steady_state_reference(setpoint, k_env, surface)
 
     tare_sum, tare_count, tare = 0.0, 0, 0.0
-    rows = array("d")  # TRACE_COLUMNS values of each completed step, row after row
-    failed = False
+    # One _TRACE_ROW per step, packed in place: sized once for the whole run,
+    # the buffer is never grown or copied, and a step builds no row tuple.
+    rows = bytearray(_TRACE_ROW.size * n)
+    pack, row_size = _TRACE_ROW.pack_into, _TRACE_ROW.size
     reason = ""
-    try:
-        for i in range(n):
-            f_true = environment_force(x, env)
-            f_meas = sensor.read(f_true, dt)
-            remaining = cfg.surface_detected - x_ref
-            if not in_force_phase and remaining > cfg.decel_band:
+    # x can turn non-finite only at the start or through the robot lag
+    if not isfinite(x):
+        raise ValueError("probe position must be finite")
+    for i in range(n):
+        depth = x - surface_true
+        f_true = k_env * depth if depth > 0.0 else 0.0
+        f_meas = read(f_true, dt)
+
+        if in_force_phase:
+            e = setpoint - (f_meas - tare)
+            e_ctrl = e
+            if adapting:
+                error_lp = error_lp + lp_gain * (e - error_lp)
+                e_rate = (e - error_lp) / tau
+                q = error_weight * e + error_rate_weight * e_rate
+                q_lp = q_lp + lp_gain * (q - q_lp)
+                q_rate = (q - q_lp) / tau
+                drive = drive_gain * q + drive_rate_gain * q_rate
+                jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
+                kappa_accel = kappa_accel + dt * jerk
+                kappa_rate = kappa_rate + dt * kappa_accel
+                kappa = kappa + dt * kappa_rate
+                if kappa < 0.0:
+                    kappa = 0.0
+                if not (isfinite(kappa) and isfinite(kappa_rate) and isfinite(kappa_accel)
+                        and isfinite(error_lp) and isfinite(q_lp)):
+                    reason = "adaptation diverged"
+                    del rows[i * row_size:]  # keep the steps recorded before this one
+                    break
+                x_ref = kappa * setpoint + surface
+                ref_rate = kappa_rate * setpoint
+        else:
+            remaining = surface - x_ref
+            if remaining > decel_band:
                 tare_sum += f_meas
                 tare_count += 1
                 tare = tare_sum / tare_count
             f_tared = f_meas - tare
-            e = cfg.force_setpoint - f_tared
-
-            if cfg.fixed_reference:
-                ref_rate, e_ctrl = 0.0, e
-            elif in_force_phase:
+            e = setpoint - f_tared
+            # spurious far-field readings (sensor noise) must not trigger
+            # the handover, hence the within-band requirement
+            if abs(f_tared) >= threshold and remaining <= decel_band:
+                in_force_phase = True
+                # the differentiators start from the current error, so the
+                # first adaptation step sees no derivative kick
+                error_lp, q_lp = e, error_weight * e
                 e_ctrl = e
-                adapt = adaptation_step(adapt, e, adp, imp, dt)
-                x_ref = position_reference(adapt.kappa, cfg.force_setpoint, cfg.surface_detected)
-                ref_rate = adapt.kappa_rate * cfg.force_setpoint
+                x_ref = kappa * setpoint + surface
+                ref_rate = 0.0
             else:
-                # spurious far-field readings (sensor noise) must not trigger
-                # the handover, hence the within-band requirement
-                if abs(f_tared) >= cfg.contact_threshold and remaining <= cfg.decel_band:
-                    in_force_phase = True
-                    adapt = AdaptationState.initial(e, adp)
-                    e_ctrl = e
-                    x_ref = position_reference(adapt.kappa, cfg.force_setpoint, cfg.surface_detected)
-                    ref_rate = 0.0
+                # full speed far out, a linear taper across the deceleration
+                # band, and a slow touch speed from there on (also past the
+                # detected surface, until contact actually fires)
+                e_ctrl = 0.0
+                if remaining >= decel_band:
+                    ref_rate = approach_speed
                 else:
-                    e_ctrl = 0.0
-                    ref_rate = _approach_rate(remaining, cfg)
-                    x_ref = x_ref + ref_rate * dt
+                    ref_rate = max(contact_speed, approach_speed * remaining / decel_band)
+                x_ref = x_ref + ref_rate * dt
 
-            kappa_now = adapt.kappa if adapt is not None else 0.0
-            rows.extend((i * dt, x_ref, filt.position, x, f_true, f_meas, e, kappa_now,
-                         stiffness_estimate(kappa_now)))
-            if i == n - 1:
-                break
-            filt = impedance_step(filt, ReferenceSignal(x_ref, ref_rate, 0.0), e_ctrl, imp, dt)
-            x = robot_step(x, filt.position, robot, dt)
-    except RuntimeError as err:
-        # adaptation diverges before its step is recorded, the filter after
-        failed, reason = True, str(err)
+        pack(rows, i * row_size, i * dt, x_ref, x_c, x, f_true, f_meas, e, kappa,
+             1.0 / kappa if kappa > floor else inf)
+        if i == n - 1:
+            break
+        # impedance_step adds the reference acceleration 0.0 here, which
+        # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
+        # only when both terms are, so v_c + dt * a_c is the same either way
+        a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
+        v_c = v_c + dt * a_c
+        x_c = x_c + dt * v_c
+        if not (isfinite(x_c) and isfinite(v_c)):
+            reason = "filter diverged"
+            del rows[(i + 1) * row_size:]  # this step's row is recorded
+            break
+        if lagged:
+            x = x + (x_c - x) * lag
+            if not isfinite(x):
+                raise ValueError("probe position must be finite")
+        else:
+            x = x_c
 
     table = np.frombuffer(rows).reshape(-1, len(TRACE_COLUMNS))
-    return SimTrace(cfg, *table.T, failed=failed, failure_reason=reason)
+    return SimTrace(cfg, *table.T, failed=bool(reason), failure_reason=reason)
 
 
 # Trace rows rendered per % operation.  One operation over a whole 10 s trace

@@ -3,6 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from soilprobe.adaptation import (
+    AdaptationState,
+    adaptation_step,
+    position_reference,
+    stiffness_estimate,
+)
+from soilprobe.contact import SensorState, environment_force, robot_step
+from soilprobe.impedance import (
+    ImpedanceState,
+    ReferenceSignal,
+    impedance_step,
+    steady_state_reference,
+)
 from soilprobe.scenario import (
     CSV_CHUNK_ROWS,
     SCENARIO_STIFFNESS,
@@ -40,6 +53,8 @@ def test_config_validation():
                 dict(contact_threshold=-0.1)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        scenario_preset("moist", seed=-1)
 
 
 def test_trace_length_contract():
@@ -84,6 +99,105 @@ def test_approach_starts_above_surface_with_zero_kappa():
     pre_contact = trace.kappa == 0.0
     assert trace.x_r[pre_contact].max() <= \
         trace.config.surface_detected + trace.config.decel_band + 1e-12
+
+
+def _reference_run(cfg):
+    """run_scenario written as a loop over the public step functions: the
+    reference its inline step math is held to.  Returns the trace columns,
+    the failure flag and the failure reason."""
+    dt = cfg.dt
+    env, robot = cfg.environment_model(), cfg.robot_model()
+    imp, adp = cfg.impedance_params(), cfg.adaptation_params()
+    sensor = SensorState(cfg.sensor_model(), cfg.seed)
+    start = cfg.surface_detected - cfg.approach_height
+    filt, x, x_ref = ImpedanceState(start, 0.0, 0.0), start, start
+    adapt = None
+    in_force_phase = cfg.fixed_reference
+    if cfg.fixed_reference:
+        x_ref = steady_state_reference(cfg.force_setpoint, cfg.env_stiffness, cfg.surface_detected)
+    tare_sum, tare_count, tare = 0.0, 0, 0.0
+    rows, reason = [], ""
+    n = math.floor(cfg.duration / dt) + 1
+    try:
+        for i in range(n):
+            f_true = environment_force(x, env)
+            f_meas = sensor.read(f_true, dt)
+            remaining = cfg.surface_detected - x_ref
+            if not in_force_phase and remaining > cfg.decel_band:
+                tare_sum += f_meas
+                tare_count += 1
+                tare = tare_sum / tare_count
+            f_tared = f_meas - tare
+            e = cfg.force_setpoint - f_tared
+            if cfg.fixed_reference:
+                ref_rate, e_ctrl = 0.0, e
+            elif in_force_phase:
+                e_ctrl = e
+                adapt = adaptation_step(adapt, e, adp, imp, dt)
+                x_ref = position_reference(adapt.kappa, cfg.force_setpoint, cfg.surface_detected)
+                ref_rate = adapt.kappa_rate * cfg.force_setpoint
+            elif abs(f_tared) >= cfg.contact_threshold and remaining <= cfg.decel_band:
+                in_force_phase = True
+                adapt = AdaptationState.initial(e, adp)
+                e_ctrl = e
+                x_ref = position_reference(adapt.kappa, cfg.force_setpoint, cfg.surface_detected)
+                ref_rate = 0.0
+            else:
+                e_ctrl = 0.0
+                if remaining >= cfg.decel_band:
+                    ref_rate = cfg.approach_speed
+                else:
+                    ref_rate = max(cfg.contact_speed,
+                                   cfg.approach_speed * remaining / cfg.decel_band)
+                x_ref = x_ref + ref_rate * dt
+            kappa = adapt.kappa if adapt is not None else 0.0
+            rows.append((i * dt, x_ref, filt.position, x, f_true, f_meas, e, kappa,
+                         stiffness_estimate(kappa)))
+            if i == n - 1:
+                break
+            filt = impedance_step(filt, ReferenceSignal(x_ref, ref_rate, 0.0), e_ctrl, imp, dt)
+            x = robot_step(x, filt.position, robot, dt)
+    except RuntimeError as err:
+        reason = str(err)
+    table = np.array(rows, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+    return dict(zip(TRACE_COLUMNS, table.T)), bool(reason), reason
+
+
+CRITERION_09_NOISE = dict(bias_amplitude=0.3, bias_drift_rate=0.2, white_noise_std=0.02)
+# a shorter approach reaches the force phase within a 2 s run
+SHORT = dict(approach_height=0.01, duration=2.0)
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    pytest.param("moist", SHORT, id="moist"),
+    pytest.param("dry", SHORT, id="dry"),
+    pytest.param("rigid", SHORT, id="rigid"),
+    pytest.param("moist", dict(SHORT, seed=1, **CRITERION_09_NOISE), id="moist-noise-seed1"),
+    pytest.param("rigid", dict(SHORT, seed=2, **CRITERION_09_NOISE), id="rigid-noise-seed2"),
+    pytest.param("dry", dict(SHORT, tracking_tau=5e-3), id="dry-tracking-lag"),
+    pytest.param("moist", dict(SHORT, fixed_reference=True), id="moist-fixed-reference"),
+    pytest.param("rigid", dict(SHORT, surface_detected=2e-3), id="rigid-detected-2mm-deep"),
+    # a surface read 2 mm high is crept toward at contact_speed for 4 s
+    pytest.param("dry", dict(SHORT, surface_detected=-2e-3, duration=5.0),
+                 id="dry-detected-2mm-high"),
+    pytest.param("dry", dict(SHORT, deriv_filter_tau=1e-4), id="dry-fast-differentiator"),
+    pytest.param("moist", dict(dt=0.008, duration=5.0), id="adaptation-diverges"),
+    pytest.param("moist", dict(dt=0.009, duration=5.0), id="filter-diverges"),
+])
+def test_step_loop_matches_the_step_functions(kind, overrides):
+    cfg = scenario_preset(kind, **overrides)
+    trace = run_scenario(cfg)
+    columns, failed, reason = _reference_run(cfg)
+    for name in TRACE_COLUMNS:
+        # bytes, so that a -0.0 for 0.0 counts as a difference and +inf
+        # equals +inf
+        assert getattr(trace, name).tobytes() == columns[name].tobytes(), name
+    assert (trace.failed, trace.failure_reason) == (failed, reason)
+    assert trace.kappa.max() > 0.0 or cfg.fixed_reference  # the force phase ran
+    if cfg.dt == 0.008:
+        assert (reason, len(trace)) == ("adaptation diverged", 448)
+    if cfg.dt == 0.009:
+        assert (reason, len(trace)) == ("filter diverged", 409)
 
 
 def test_divergent_config_truncates_with_flag():
