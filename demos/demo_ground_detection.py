@@ -14,7 +14,6 @@ import numpy as np
 
 from soilprobe import (
     BAND_WIDTHS,
-    PotSceneParams,
     detect_ground,
     estimate_to_text,
     generate_pot_scene,
@@ -22,6 +21,7 @@ from soilprobe import (
     scene_bounds,
     workspace_filter,
 )
+from soilprobe.scene import SOIL_Z
 
 
 def main() -> None:
@@ -31,12 +31,11 @@ def main() -> None:
     args = ap.parse_args()
 
     # -- 1. make a scene: pot, rough soil, rim, wall, foliage, table clutter
-    params = PotSceneParams()
-    cloud, truth = generate_pot_scene(params, seed=args.seed)
-    print(f"scene: {len(cloud)} points, true soil plane at z = {params.soil_z:.4f} m")
+    cloud, truth = generate_pot_scene(seed=args.seed)
+    print(f"scene: {len(cloud)} points, true soil plane at z = {SOIL_Z:.4f} m")
 
     # -- 2. crop to the reachable workspace above the pot
-    bounds = scene_bounds(params)
+    bounds = scene_bounds()
     inside = workspace_filter(cloud, bounds)
     print(f"workspace filter: {len(inside)} points kept "
           f"({len(cloud) - len(inside)} clutter points dropped)")

@@ -43,28 +43,21 @@ class WorkspaceBounds:
     """Reachable-region box around the plant container.
 
     x must fall strictly inside (x_min, x_max), y strictly below y_max and z
-    strictly inside (z_table, z_table + pot_height + margin).  All lengths in
-    meters.
+    strictly inside (z_min, z_max).  All lengths in meters.
     """
 
     x_min: float
     x_max: float
     y_max: float
-    z_table: float
-    pot_height: float
-    margin: float
+    z_min: float
+    z_max: float
 
     def __post_init__(self):
+        # written so that a NaN bound fails too
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
-        if self.pot_height <= 0:
-            raise ValueError("pot_height must be positive")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-
-    @property
-    def z_top(self) -> float:
-        return self.z_table + self.pot_height + self.margin
+        if not self.z_min < self.z_max:
+            raise ValueError("z_min must be below z_max")
 
 
 def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
@@ -80,8 +73,8 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
             & (pts[:, 0] > bounds.x_min)
             & (pts[:, 0] < bounds.x_max)
             & (pts[:, 1] < bounds.y_max)
-            & (pts[:, 2] > bounds.z_table)
-            & (pts[:, 2] < bounds.z_top)
+            & (pts[:, 2] > bounds.z_min)
+            & (pts[:, 2] < bounds.z_max)
         )
     return cloud.select(keep).sort_by_z()
 

@@ -14,6 +14,7 @@ from .cloud import PointCloud, WorkspaceBounds, workspace_filter
 
 APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot center
 RANSAC_CONFIDENCE = 0.999  # chance that some hypothesis drew 3 inliers
+RANSAC_MAX_DRAWS = 500  # hard cap on the triples drawn
 LOCAL_REFIT_ROUNDS = 5  # least-squares refits after the first, while the inliers grow
 
 # Bin width of each band-refinement pass, largest first: 7 cm, a quarter
@@ -142,20 +143,15 @@ def _hypotheses_needed(count: int, n: int) -> int:
     return math.ceil(math.log1p(-RANSAC_CONFIDENCE) / math.log1p(-all_inliers))
 
 
-def fit_plane_ransac(
-    cloud: PointCloud,
-    threshold: float = 0.005,
-    max_iters: int = 500,
-    seed: int = 0,
-) -> PlaneModel:
+def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0) -> PlaneModel:
     """Consensus plane fit: sample point triples, keep the largest inlier set,
     then refit that set by least squares.
 
     Sampling stops once N = ceil(log(1 - p) / log(1 - w^3)) triples have been
     drawn, where w is the best inlier share so far and p = RANSAC_CONFIDENCE,
-    or after max_iters triples, whichever comes first.  The refit repeats, up
-    to LOCAL_REFIT_ROUNDS more times, while its inlier set grows (LO-RANSAC,
-    Chum, Matas & Kittler 2003).
+    or after RANSAC_MAX_DRAWS triples, whichever comes first.  The refit
+    repeats, up to LOCAL_REFIT_ROUNDS more times, while its inlier set grows
+    (LO-RANSAC, Chum, Matas & Kittler 2003).
 
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple collinear).
@@ -170,7 +166,7 @@ def fit_plane_ransac(
 
     best_count = 0
     best_inliers = None
-    needed = max_iters
+    needed = RANSAC_MAX_DRAWS
     drawn = 0
     while drawn < needed:
         drawn += 1
@@ -187,7 +183,7 @@ def fit_plane_ransac(
         if count > best_count:
             best_count = count
             best_inliers = inliers
-            needed = min(max_iters, _hypotheses_needed(count, n))
+            needed = min(RANSAC_MAX_DRAWS, _hypotheses_needed(count, n))
 
     if best_inliers is None or best_count < 3:
         raise ValueError("plane fit failed: no plane consensus found")

@@ -67,10 +67,15 @@ class ScenarioConfig:
         if self.scenario not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind: '{self.scenario}' "
                              f"(choose from {', '.join(SCENARIO_KINDS)})")
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError("duration / dt must be finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.approach_height < 0:

@@ -200,6 +200,21 @@ def test_malformed_config_exits_1(tmp_path):
     assert run("simulate", "--config", str(cfg)) == 1
 
 
+def test_non_finite_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    for text, name in (("duration = inf", "duration"),
+                       ("duration = 1e300\ndt = 1e-10", "duration / dt"),
+                       ("dt = nan", "dt"),
+                       ("surface_detected = nan", "surface_detected"),
+                       ("tracking_tau = nan", "tracking_tau"),
+                       ("contact_threshold = nan", "contact_threshold"),
+                       ("surface_true = inf", "surface_true")):
+        cfg.write_text(text + "\n")
+        capsys.readouterr()
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1, text
+        assert f"error: {name} must be finite" in capsys.readouterr().err, text
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run("simulate", "--config", str(tmp_path / "absent.cfg")) == 2
 

@@ -16,7 +16,7 @@ from soilprobe.cloud import (
     workspace_filter,
 )
 
-BOUNDS = WorkspaceBounds(x_min=-0.2, x_max=0.2, y_max=0.2, z_table=0.0, pot_height=0.12, margin=0.05)
+BOUNDS = WorkspaceBounds(x_min=-0.2, x_max=0.2, y_max=0.2, z_min=0.0, z_max=0.17)
 
 
 def test_cloud_shape_validation():
@@ -51,8 +51,8 @@ def test_workspace_filter_keeps_strict_interior():
         [-0.2, 0.0, 0.05],   # on x_min boundary
         [0.2, 0.0, 0.05],    # on x_max boundary
         [0.0, 0.2, 0.05],    # on y_max boundary
-        [0.0, 0.0, 0.0],     # on z_table boundary
-        [0.0, 0.0, BOUNDS.z_top],  # on the top boundary
+        [0.0, 0.0, 0.0],     # on z_min boundary
+        [0.0, 0.0, 0.17],    # on z_max boundary
         [0.3, 0.0, 0.05],    # outside x
         [0.0, 0.5, 0.05],    # outside y
         [0.0, 0.0, 0.9],     # above the pot
@@ -73,13 +73,13 @@ def test_workspace_filter_drops_nan_and_sorts():
 
 
 def test_bounds_validation():
-    with pytest.raises(ValueError):
-        WorkspaceBounds(0.2, -0.2, 0.2, 0.0, 0.12, 0.05)
-    with pytest.raises(ValueError):
-        WorkspaceBounds(-0.2, 0.2, 0.2, 0.0, -1.0, 0.05)
-    with pytest.raises(ValueError):
-        WorkspaceBounds(-0.2, 0.2, 0.2, 0.0, 0.12, 0.0)
-    assert BOUNDS.z_top == pytest.approx(0.17)
+    with pytest.raises(ValueError, match="x_min"):
+        WorkspaceBounds(0.2, -0.2, 0.2, 0.0, 0.17)
+    with pytest.raises(ValueError, match="z_min"):
+        WorkspaceBounds(-0.2, 0.2, 0.2, 0.17, 0.17)
+    for nan_box in ((math.nan, 0.2, 0.2, 0.0, 0.17), (-0.2, 0.2, 0.2, 0.0, math.nan)):
+        with pytest.raises(ValueError):
+            WorkspaceBounds(*nan_box)
 
 
 def test_text_roundtrip(tmp_path):

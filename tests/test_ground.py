@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from soilprobe.cloud import PointCloud, workspace_filter
 from soilprobe.ground import (
     BAND_WIDTHS,
+    RANSAC_MAX_DRAWS,
     GroundEstimate,
     PlaneModel,
     bin_points,
@@ -19,7 +20,7 @@ from soilprobe.ground import (
     refinement_history,
     score_bin,
 )
-from soilprobe.scene import PotSceneParams, generate_pot_scene, scene_bounds
+from soilprobe.scene import generate_pot_scene, scene_bounds
 
 
 def cloud_from_z(z_values, rng=None):
@@ -262,7 +263,7 @@ def plane_with_outliers(rng, n_in, n_out, noise=0.002):
 
 
 def test_ransac_stops_at_confidence_bound(monkeypatch):
-    # N = ceil(log(1 - 0.999) / log(1 - w^3)) hypotheses, capped by max_iters
+    # N = ceil(log(1 - 0.999) / log(1 - w^3)) hypotheses, capped by RANSAC_MAX_DRAWS
     rng = np.random.default_rng(0)
     coplanar = PointCloud(np.column_stack([rng.uniform(-0.1, 0.1, (200, 2)), np.full(200, 0.8)]))
     assert ransac_draws(monkeypatch, coplanar, seed=0) == 1  # w = 1
@@ -272,7 +273,7 @@ def test_ransac_stops_at_confidence_bound(monkeypatch):
         cloud = plane_with_outliers(np.random.default_rng(seed), n_in=40, n_out=60, noise=0.0)
         assert ransac_draws(monkeypatch, cloud, seed=seed) <= bound  # w >= 0.4
     sparse = plane_with_outliers(np.random.default_rng(1), n_in=10, n_out=190)
-    assert ransac_draws(monkeypatch, sparse, max_iters=50, seed=1) == 50  # w ~ 0.05
+    assert ransac_draws(monkeypatch, sparse, seed=1) == RANSAC_MAX_DRAWS == 500  # w ~ 0.05
 
 
 def test_ransac_recovers_plane_among_60_percent_outliers():
@@ -291,7 +292,7 @@ def test_ransac_failure_modes():
         fit_plane_ransac(PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     line = PointCloud(np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)]))
     with pytest.raises(ValueError, match="plane fit failed"):
-        fit_plane_ransac(line, max_iters=50, seed=0)
+        fit_plane_ransac(line, seed=0)
 
 
 def test_plane_model_validation():
@@ -349,9 +350,8 @@ def test_estimate_height_query():
 # ---------------------------------------------------------------- pipeline
 
 def test_detect_ground_on_synthetic_scene():
-    params = PotSceneParams()
-    cloud, truth = generate_pot_scene(params, seed=12)
-    est = detect_ground(cloud, scene_bounds(params), seed=12)
+    cloud, truth = generate_pot_scene(seed=12)
+    est = detect_ground(cloud, scene_bounds(), seed=12)
     assert abs(est.center.z - truth.center.z) <= 0.002
     assert est.plane.inlier_count > 1000
 
@@ -363,9 +363,8 @@ def test_detect_ground_empty_workspace_errors():
 
 
 def test_workspace_filter_strips_table_and_foliage():
-    params = PotSceneParams()
-    cloud, _ = generate_pot_scene(params, seed=1)
-    inside = workspace_filter(cloud, scene_bounds(params))
+    cloud, _ = generate_pot_scene(seed=1)
+    inside = workspace_filter(cloud, scene_bounds())
     assert len(inside) < len(cloud)
     assert inside.z.min() > 0.0
 

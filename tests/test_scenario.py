@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from soilprobe.scenario import (
 )
 
 CSV_HEADER = "t,x_r,x_c,x,f_true,f_meas,e,kappa,stiffness_est"
+FLOAT_FIELDS = [name for name, kind in typing.get_type_hints(ScenarioConfig).items()
+                if kind is float]
 
 
 def test_presets_map_to_stiffness():
@@ -55,6 +58,15 @@ def test_config_validation():
             ScenarioConfig(**bad)
     with pytest.raises(ValueError, match="seed must be non-negative"):
         scenario_preset("moist", seed=-1)
+
+
+@pytest.mark.parametrize("overrides, name", [
+    *(({name: value}, name) for name in FLOAT_FIELDS for value in (math.nan, math.inf, -math.inf)),
+    (dict(duration=1e300, dt=1e-10), "duration / dt"),  # each finite, their step count is not
+])
+def test_config_rejects_non_finite(overrides, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        scenario_preset("moist", **overrides)
 
 
 def test_trace_length_contract():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from soilprobe import scene
 from soilprobe.ground import detect_ground
 from soilprobe.scene import PotSceneParams, generate_pot_scene, scene_bounds
 
@@ -24,33 +25,31 @@ def test_scene_composition():
     # truth inliers are the leading soil block
     assert np.array_equal(truth.plane.inlier_indices, np.arange(n_soil))
     soil = cloud.points[:n_soil]
-    assert np.abs(soil[:, 2] - params.soil_z).max() <= 0.5 * params.roughness + 1e-12
+    assert np.abs(soil[:, 2] - scene.SOIL_Z).max() <= 0.5 * params.roughness + 1e-12
     assert np.all(np.isfinite(cloud.points))
 
 
 def test_truth_estimate_geometry():
-    params = PotSceneParams()
-    _, truth = generate_pot_scene(params, seed=3)
+    _, truth = generate_pot_scene(seed=3)
     assert truth.plane.normal[2] == 1.0
-    assert truth.center.z == params.soil_z
-    assert truth.near_point.y == -params.soil_radius
+    assert truth.center.z == scene.SOIL_Z
+    assert truth.near_point.y == -scene.SOIL_RADIUS
     assert truth.approach.y == truth.near_point.y + 0.03
-    assert truth.z_at(0.01, -0.02) == pytest.approx(params.soil_z)
+    assert truth.z_at(0.01, -0.02) == pytest.approx(scene.SOIL_Z)
 
 
 def test_scene_bounds_cover_pot_but_not_table():
-    params = PotSceneParams()
-    bounds = scene_bounds(params)
-    assert bounds.z_table > params.table_noise     # table noise stays outside
-    assert bounds.z_table < params.soil_z
-    assert bounds.z_top > params.pot_height
-    assert bounds.x_max >= params.pot_radius
+    bounds = scene_bounds()
+    assert bounds.z_min > scene.TABLE_NOISE     # table noise stays outside
+    assert bounds.z_min < scene.SOIL_Z
+    assert bounds.z_max > scene.POT_HEIGHT
+    assert bounds.x_max >= scene.POT_RADIUS
 
 
 def test_zero_roughness_scene_recovers_exactly():
     params = PotSceneParams(roughness=0.0, n_foliage=0)
     cloud, truth = generate_pot_scene(params, seed=4)
-    est = detect_ground(cloud, scene_bounds(params), seed=4)
+    est = detect_ground(cloud, scene_bounds(), seed=4)
     assert abs(est.center.z - truth.center.z) <= 1e-4
 
 
@@ -69,15 +68,11 @@ def test_fixed_view_azimuth_pins_occlusion():
     # the hidden sector faces away from the viewpoint: azimuth + pi
     angles = np.arctan2(soil[:, 1], soil[:, 0])
     radii = np.hypot(soil[:, 0], soil[:, 1])
-    outer_back = (radii >= params.occlusion_inner_radius) & (
-        np.abs(np.abs(angles) - np.pi) <= params.occlusion_half_angle - 1e-9)
+    outer_back = (radii >= scene.OCCLUSION_INNER_RADIUS) & (
+        np.abs(np.abs(angles) - np.pi) <= scene.OCCLUSION_HALF_ANGLE - 1e-9)
     assert outer_back.sum() == 0
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PotSceneParams(pot_radius=0.0)
-    with pytest.raises(ValueError):
-        PotSceneParams(soil_depth=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="roughness"):
         PotSceneParams(roughness=-0.01)
