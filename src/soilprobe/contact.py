@@ -46,8 +46,8 @@ class SensorModel:
 
 
 # Noise samples drawn per RNG call: a run of n noisy steps makes about
-# 2 * n / BLOCK numpy calls.  Larger blocks gain little per step and hold
-# more memory.
+# 2 * n / BLOCK numpy calls, and SensorState.noise walks the bias one block
+# per np.cumsum.  Larger blocks gain little per step and hold more memory.
 BLOCK = 1024
 
 
@@ -55,9 +55,11 @@ class SensorState:
     """Mutable per-run sensor state: the current bias and the noise stream.
 
     Noise is drawn BLOCK samples at a time: one uniform block for the bias
-    walk, then one clipped normal block for the white noise, handed out one
-    pair per read.  A model whose bias amplitude and white noise are both
-    zero is exact: read returns the true force and draws nothing.
+    walk, then one clipped normal block for the white noise.  read hands
+    them out one pair per reading; noise hands out the next n readings'
+    bias and white noise at once, from the same stream.  A model whose
+    bias amplitude and white noise are both zero is exact: read returns
+    the true force, noise returns None, and neither draws anything.
     """
 
     def __init__(self, model: SensorModel, seed: int = 0):
@@ -71,23 +73,64 @@ class SensorState:
         self._exact = model.bias_amplitude == 0.0 and model.white_noise_std == 0.0
         self._noise: list[tuple[float, float]] = []  # (drift rate, white) pairs, next one last
 
-    def _draw(self) -> list[tuple[float, float]]:
+    def _draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next block: BLOCK bias drift rates, then BLOCK white noise samples."""
         m = self.model
         drift = self.rng.uniform(-1.0, 1.0, BLOCK) * m.bias_drift_rate
         white = np.clip(self.rng.standard_normal(BLOCK), -4.0, 4.0) * m.white_noise_std
-        pairs = list(zip(drift.tolist(), white.tolist()))
-        pairs.reverse()
-        return pairs
+        return drift, white
 
     def read(self, f_true: float, dt: float) -> float:
         if self._exact:
             return f_true
         if not self._noise:
-            self._noise = self._draw()
+            drift, white = self._draw()
+            self._noise = list(zip(drift.tolist(), white.tolist()))
+            self._noise.reverse()
         drift, white = self._noise.pop()
         m = self.model
         self.bias = min(max(self.bias + drift * dt, -m.bias_amplitude), m.bias_amplitude)
         return f_true + self.bias + white
+
+    def noise(self, n: int, dt: float) -> tuple[list[float], list[float]] | None:
+        """The bias and the white noise of the next n reads at period dt, as
+        two lists: read(f, dt) would return f + bias[i] + white[i].  The
+        state ends where those reads would leave it.  None for an exact
+        sensor, which draws nothing.
+
+        A block's bias walk is one np.cumsum over the starting bias and the
+        drift steps.  It adds in sequence, so each value is the sum read
+        makes, bit for bit; a block whose walk leaves +-bias_amplitude is
+        walked again with read's clamp.
+        """
+        if self._exact:
+            return None
+        amp = self.model.bias_amplitude
+        bias: list[float] = []
+        white: list[float] = []
+        while len(white) < n:
+            if self._noise:  # the rest of a block that read started
+                block_drift, block_white = map(np.array, zip(*reversed(self._noise)))
+            else:
+                block_drift, block_white = self._draw()
+            k = min(len(block_white), n - len(white))
+            steps = np.empty(k + 1)
+            steps[0] = self.bias
+            np.multiply(block_drift[:k], dt, out=steps[1:])
+            track = np.cumsum(steps)[1:]
+            if (np.abs(track) <= amp).all():
+                walk = track.tolist()
+            else:
+                walk, b = [], self.bias
+                for step in steps[1:].tolist():
+                    b = min(max(b + step, -amp), amp)
+                    walk.append(b)
+            self.bias = walk[-1]
+            bias += walk
+            white += block_white[:k].tolist()
+            self._noise = list(zip(block_drift[k:].tolist(), block_white[k:].tolist()))
+            self._noise.reverse()
+        return bias, white
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ TRACE_COLUMNS = ("t", "x_r", "x_c", "x", "f_true", "f_meas", "e", "kappa", "stif
 RUN_METRICS = ("kappa_final", "settling_time", "steady_state_error", "peak_force")
 # One trace row: the TRACE_COLUMNS values of one step as native doubles.
 _TRACE_ROW = struct.Struct(f"{len(TRACE_COLUMNS)}d")
+# The most steps a run may take, floor(duration / dt) + 1.  A run holds its
+# whole trace, 72 bytes a step, and on a noisy sensor its noise, 64 more.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class ScenarioConfig:
             raise ValueError("dt must be positive")
         if not math.isfinite(self.duration / self.dt):
             raise ValueError("duration / dt must be finite")
+        if math.floor(self.duration / self.dt) + 1 > MAX_STEPS:
+            raise ValueError(f"duration / dt gives more than MAX_STEPS = {MAX_STEPS} steps")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.approach_height < 0:
@@ -209,15 +214,20 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     Divergence of either the filter or the adaptation law truncates the
     trace and sets the failure flag; it never raises.
 
-    The loop calls no step function: the math of environment_force,
-    adaptation_step, position_reference, stiffness_estimate,
-    impedance_step and robot_step is written out on local floats in their
-    operand order, and the tests hold every trace column equal, bit for
-    bit, to a loop that calls those functions.
+    The loop calls no step function or sensor method: the run's sensor
+    noise comes from one SensorState.noise call before it, and the math of
+    environment_force, adaptation_step, position_reference,
+    stiffness_estimate, impedance_step and robot_step is written out on
+    local floats in their operand order.  The tests hold every trace
+    column equal, bit for bit, to a loop that calls those functions and
+    SensorState.read.
     """
     n = int(math.floor(cfg.duration / cfg.dt)) + 1
     dt = cfg.dt
-    read = SensorState(cfg.sensor_model(), cfg.seed).read
+    # the run's sensor noise, drawn before the loop; None for an exact sensor
+    noise = SensorState(cfg.sensor_model(), cfg.seed).noise(n, dt)
+    noisy = noise is not None
+    bias, white = noise if noisy else ((), ())
     mass, damping, stiffness = cfg.mass, cfg.damping, cfg.stiffness
     drive_gain, drive_rate_gain = cfg.drive_gain, cfg.drive_rate_gain
     error_weight, error_rate_weight = cfg.error_weight, cfg.error_rate_weight
@@ -252,7 +262,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     for i in range(n):
         depth = x - surface_true
         f_true = k_env * depth if depth > 0.0 else 0.0
-        f_meas = read(f_true, dt)
+        f_meas = f_true + bias[i] + white[i] if noisy else f_true
 
         if in_force_phase:
             e = setpoint - (f_meas - tare)

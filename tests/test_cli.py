@@ -1,15 +1,17 @@
 import dataclasses
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from soilprobe import cli
 from soilprobe.cli import DETECT_TYPES, PIPELINE_TYPES, main
 from soilprobe.cloud import save_cloud
 from soilprobe.config import SCENARIO_TYPES
-from soilprobe.scenario import ScenarioConfig
+from soilprobe.scenario import MAX_STEPS, ScenarioConfig
 from soilprobe.scene import generate_pot_scene
 
 CSV_HEADER = "t,x_r,x_c,x,f_true,f_meas,e,kappa,stiffness_est"
@@ -213,6 +215,33 @@ def test_non_finite_config_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1, text
         assert f"error: {name} must be finite" in capsys.readouterr().err, text
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("text", [
+    "duration = 1e300",
+    # dt = 2**-10 makes duration / dt exact: MAX_STEPS + 1 steps
+    f"dt = {2**-10}\nduration = {MAX_STEPS * 2**-10}",
+], ids=["1e300", "one-step-over"])
+def test_too_many_steps_exit_1_before_any_run(tmp_path, capsys, monkeypatch, command, text):
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(command, "--config", str(cfg), "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"error: duration / dt gives more than MAX_STEPS = {MAX_STEPS} steps\n"
+    assert peak < 2**20  # no trace or noise buffer, not even a partial one
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path):

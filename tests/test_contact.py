@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soilprobe.contact import (
     BLOCK,
@@ -16,6 +18,21 @@ from soilprobe.contact import (
 
 ENV = EnvironmentModel(500.0, 0.0)
 EXACT = SensorModel(0.0, 0.0, 0.0)
+# the bias walk of "clamped" hits its clamp on almost every read at dt = 1e-3,
+# that of "mixed" in some blocks and not in others
+NOISY = {
+    "criterion-09": SensorModel(0.3, 0.2, 0.02),
+    "clamped": SensorModel(0.01, 5.0, 0.02),
+    "mixed": SensorModel(0.2, 5.0, 0.1),
+    "zero-amplitude": SensorModel(0.0, 0.2, 0.02),
+    "drift-only": SensorModel(0.3, 0.2, 0.0),
+    "white-only": SensorModel(0.0, 0.0, 0.02),
+}
+
+
+def bits(values) -> bytes:
+    """The doubles' bytes, so that -0.0 and 0.0 differ and NaN equals NaN."""
+    return np.array(values, dtype=float).tobytes()
 
 
 def test_environment_force_examples():
@@ -77,6 +94,7 @@ def test_sensor_exact_model_draws_nothing():
     sensor = SensorState(SensorModel(0.0, 5.0, 0.0), seed=3)
     state = sensor.rng.bit_generator.state
     assert all(sensor.read(f, 1e-3) == f for f in np.linspace(0.0, 9.0, 2 * BLOCK))
+    assert sensor.noise(2 * BLOCK, 1e-3) is None
     assert sensor.rng.bit_generator.state == state
 
 
@@ -109,6 +127,40 @@ def test_sensor_blocks_follow_the_draw_order():
             expected.append(2.0 + bias + w * model.white_noise_std)
     sensor = SensorState(model, seed)
     assert [sensor.read(2.0, dt) for _ in range(n)] == expected[:n]
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK, 3 * BLOCK + 7])
+@pytest.mark.parametrize("name", NOISY)
+def test_sensor_noise_matches_reads(name, n):
+    # reference: n successive reads, and the bias each leaves behind
+    dt, forces = 1e-3, np.linspace(0.0, 9.0, n).tolist()
+    reader, drawn = SensorState(NOISY[name], seed=11), SensorState(NOISY[name], seed=11)
+    readings, track = [], []
+    for f in forces:
+        readings.append(reader.read(f, dt))
+        track.append(reader.bias)
+    bias, white = drawn.noise(n, dt)
+    assert bits(bias) == bits(track)
+    assert bits([f + b + w for f, b, w in zip(forces, bias, white, strict=True)]) == bits(readings)
+    # the state ends where the reads left theirs
+    assert bits([drawn.read(1.0, dt) for _ in range(BLOCK + 1)]) == \
+        bits([reader.read(1.0, dt) for _ in range(BLOCK + 1)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(NOISY)), before=st.integers(0, 2 * BLOCK + 3),
+       n=st.integers(0, 2 * BLOCK + 3))
+def test_sensor_noise_continues_the_stream(name, before, n):
+    # reads, then one noise call, then reads again hand out the same
+    # readings as reads alone, whichever point of a block each starts at
+    dt = 1e-3
+    reader, mixed = SensorState(NOISY[name], seed=8), SensorState(NOISY[name], seed=8)
+    expected = [reader.read(1.0, dt) for _ in range(before + n + BLOCK)]
+    got = [mixed.read(1.0, dt) for _ in range(before)]
+    bias, white = mixed.noise(n, dt)
+    got += [1.0 + b + w for b, w in zip(bias, white, strict=True)]
+    got += [mixed.read(1.0, dt) for _ in range(BLOCK)]
+    assert bits(got) == bits(expected)
 
 
 def test_sensor_bounds_hold_across_blocks():

@@ -10,7 +10,7 @@ from soilprobe.adaptation import (
     position_reference,
     stiffness_estimate,
 )
-from soilprobe.contact import SensorState, environment_force, robot_step
+from soilprobe.contact import BLOCK, SensorState, environment_force, robot_step
 from soilprobe.impedance import (
     ImpedanceState,
     ReferenceSignal,
@@ -19,6 +19,7 @@ from soilprobe.impedance import (
 )
 from soilprobe.scenario import (
     CSV_CHUNK_ROWS,
+    MAX_STEPS,
     SCENARIO_STIFFNESS,
     TRACE_COLUMNS,
     ScenarioConfig,
@@ -67,6 +68,15 @@ def test_config_validation():
 def test_config_rejects_non_finite(overrides, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         scenario_preset("moist", **overrides)
+
+
+def test_step_count_is_bounded():
+    dt = 2**-10  # duration / dt is exact
+    scenario_preset("moist", dt=dt, duration=(MAX_STEPS - 1) * dt)  # MAX_STEPS steps pass
+    for duration in (MAX_STEPS * dt, 1e300):
+        with pytest.raises(ValueError, match=f"^duration / dt gives more than MAX_STEPS = "
+                                             f"{MAX_STEPS} steps$"):
+            scenario_preset("moist", dt=dt, duration=duration)
 
 
 def test_trace_length_contract():
@@ -176,8 +186,14 @@ def _reference_run(cfg):
 
 
 CRITERION_09_NOISE = dict(bias_amplitude=0.3, bias_drift_rate=0.2, white_noise_std=0.02)
+# the bias walk hits its clamp on almost every step
+CLAMPED_NOISE = dict(bias_amplitude=0.01, bias_drift_rate=5.0, white_noise_std=0.02)
 # a shorter approach reaches the force phase within a 2 s run
 SHORT = dict(approach_height=0.01, duration=2.0)
+# noisy dry runs that reach the force phase within about one noise block;
+# dt = 2**-10 makes duration / dt exact, so a duration of 1023 or 1024 steps
+# gives a run of BLOCK or BLOCK + 1 steps
+ONE_BLOCK = dict(dt=2**-10, approach_height=0.005, **CRITERION_09_NOISE)
 
 
 @pytest.mark.parametrize("kind, overrides", [
@@ -186,6 +202,14 @@ SHORT = dict(approach_height=0.01, duration=2.0)
     pytest.param("rigid", SHORT, id="rigid"),
     pytest.param("moist", dict(SHORT, seed=1, **CRITERION_09_NOISE), id="moist-noise-seed1"),
     pytest.param("rigid", dict(SHORT, seed=2, **CRITERION_09_NOISE), id="rigid-noise-seed2"),
+    pytest.param("moist", dict(SHORT, seed=3, **CLAMPED_NOISE), id="moist-bias-clamped"),
+    pytest.param("dry", dict(SHORT, seed=4, bias_amplitude=0.0, bias_drift_rate=0.2,
+                             white_noise_std=0.02), id="dry-zero-bias-amplitude"),
+    pytest.param("moist", dict(SHORT, seed=5, bias_amplitude=0.3, bias_drift_rate=0.2),
+                 id="moist-drift-only"),
+    pytest.param("rigid", dict(SHORT, seed=6, white_noise_std=0.02), id="rigid-white-only"),
+    pytest.param("dry", dict(ONE_BLOCK, duration=(BLOCK - 1) * 2**-10), id="dry-noise-one-block"),
+    pytest.param("dry", dict(ONE_BLOCK, duration=BLOCK * 2**-10), id="dry-noise-block-plus-one"),
     pytest.param("dry", dict(SHORT, tracking_tau=5e-3), id="dry-tracking-lag"),
     pytest.param("moist", dict(SHORT, fixed_reference=True), id="moist-fixed-reference"),
     pytest.param("rigid", dict(SHORT, surface_detected=2e-3), id="rigid-detected-2mm-deep"),
@@ -194,6 +218,8 @@ SHORT = dict(approach_height=0.01, duration=2.0)
                  id="dry-detected-2mm-high"),
     pytest.param("dry", dict(SHORT, deriv_filter_tau=1e-4), id="dry-fast-differentiator"),
     pytest.param("moist", dict(dt=0.008, duration=5.0), id="adaptation-diverges"),
+    pytest.param("moist", dict(dt=0.008, duration=5.0, seed=1, **CRITERION_09_NOISE),
+                 id="adaptation-diverges-under-noise"),
     pytest.param("moist", dict(dt=0.009, duration=5.0), id="filter-diverges"),
 ])
 def test_step_loop_matches_the_step_functions(kind, overrides):
@@ -206,6 +232,8 @@ def test_step_loop_matches_the_step_functions(kind, overrides):
         assert getattr(trace, name).tobytes() == columns[name].tobytes(), name
     assert (trace.failed, trace.failure_reason) == (failed, reason)
     assert trace.kappa.max() > 0.0 or cfg.fixed_reference  # the force phase ran
+    if cfg.dt == 2**-10:
+        assert len(trace) in (BLOCK, BLOCK + 1)
     if cfg.dt == 0.008:
         assert (reason, len(trace)) == ("adaptation diverged", 448)
     if cfg.dt == 0.009:
