@@ -26,9 +26,6 @@ class PointCloud:
     def z(self) -> np.ndarray:
         return self.points[:, 2]
 
-    def valid_mask(self) -> np.ndarray:
-        return np.all(np.isfinite(self.points), axis=1)
-
     def select(self, index) -> "PointCloud":
         return PointCloud(self.points[index])
 
@@ -63,20 +60,23 @@ class WorkspaceBounds:
 def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
     """Keep the valid points inside the workspace box, sorted by ascending z.
 
-    Boundary points are excluded (all comparisons strict), NaN points are
-    dropped.  An empty result is legal; callers decide whether that is fatal.
+    Boundary points are excluded (all comparisons strict), points with a NaN
+    or infinite coordinate are dropped.  An empty result is legal; callers
+    decide whether that is fatal.
     """
-    pts = cloud.points
-    with np.errstate(invalid="ignore"):
-        keep = (
-            cloud.valid_mask()
-            & (pts[:, 0] > bounds.x_min)
-            & (pts[:, 0] < bounds.x_max)
-            & (pts[:, 1] < bounds.y_max)
-            & (pts[:, 2] > bounds.z_min)
-            & (pts[:, 2] < bounds.z_max)
-        )
-    return cloud.select(keep).sort_by_z()
+    x, y, z = cloud.points.T
+    # NaN fails every strict comparison and +-inf fails the two-sided x and z
+    # tests; y = -inf is the one non-finite value the box itself lets through.
+    keep = (
+        (x > bounds.x_min)
+        & (x < bounds.x_max)
+        & (y < bounds.y_max)
+        & (y > -np.inf)
+        & (z > bounds.z_min)
+        & (z < bounds.z_max)
+    )
+    idx = np.flatnonzero(keep)
+    return cloud.select(idx[np.argsort(z[idx], kind="stable")])
 
 
 # Text format: one `x,y,z` triple per line, 9 significant digits; `#` starts

@@ -134,6 +134,20 @@ def _least_squares_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, float(-normal @ centroid)
 
 
+def _refit_inliers(rel: np.ndarray, inliers: np.ndarray, m: int, threshold: float) -> np.ndarray:
+    # The points within the threshold of the least-squares plane of the m
+    # points where `inliers` holds.  `rel` holds every point, as (3, N)
+    # offsets from one of them; the plane comes from the inliers' weighted
+    # moments of it, so the inlier set is never gathered.
+    w = inliers.astype(float)
+    centroid = rel @ w / m
+    scatter = (rel * w) @ rel.T - m * np.outer(centroid, centroid)
+    _, vecs = np.linalg.eigh(scatter)
+    normal = _canonical_sign(vecs[:, 0])  # eigenvector of the smallest eigenvalue
+    normal = normal / np.linalg.norm(normal)
+    return np.abs(normal @ rel - normal @ centroid) < threshold
+
+
 def _hypotheses_needed(count: int, n: int) -> int:
     # Fischler & Bolles (1981): with an inlier share w, N = log(1 - p) /
     # log(1 - w^3) draws hold at least one all-inlier triple with probability p.
@@ -153,16 +167,25 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     repeats, up to LOCAL_REFIT_ROUNDS more times, while its inlier set grows
     (LO-RANSAC, Chum, Matas & Kittler 2003).
 
+    The fit works on one contiguous (3, N) copy of the valid points.  Each
+    refit takes its plane from the inlier-weighted first and second moments
+    of that copy about one inlier, so no round gathers the inlier set.  The
+    reported plane is the least-squares plane of the set that chose the
+    final inliers, computed once from its gathered rows.
+
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple collinear).
     """
-    valid_idx = np.flatnonzero(cloud.valid_mask())
-    pts = cloud.points[valid_idx]
-    n = pts.shape[0]
+    # a copy even of an F-ordered cloud, since it becomes offsets in place below
+    cols = np.array(cloud.points.T, order="C")
+    valid_idx = np.flatnonzero(np.isfinite(cols).all(axis=0))
+    if valid_idx.size < cols.shape[1]:  # else there is nothing to drop: skip the copy
+        cols = cols.take(valid_idx, axis=1)
+    n = cols.shape[1]
     if n < 3:
         raise ValueError("plane fit failed: need at least 3 valid points")
     rng = np.random.default_rng(seed)
-    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) or 1.0
+    scale = float(np.linalg.norm(cols.max(axis=1) - cols.min(axis=1))) or 1.0
 
     best_count = 0
     best_inliers = None
@@ -170,16 +193,18 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     drawn = 0
     while drawn < needed:
         drawn += 1
-        i, j, k = rng.choice(n, size=3, replace=False)
-        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
-        norm = np.linalg.norm(normal)
+        triple = rng.choice(n, size=3, replace=False)
+        (xi, xj, xk), (yi, yj, yk), (zi, zj, zk) = cols[:, triple].tolist()
+        # np.cross(p_j - p_i, p_k - p_i), in its operand order
+        ax, ay, az = xj - xi, yj - yi, zj - zi
+        bx, by, bz = xk - xi, yk - yi, zk - zi
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
         if norm < 1e-12 * scale * scale:
             continue  # collinear sample
-        normal = normal / norm
-        d = -normal @ pts[i]
-        dist = np.abs(pts @ normal + d)
-        inliers = dist < threshold
-        count = int(inliers.sum())
+        nx, ny, nz = nx / norm, ny / norm, nz / norm
+        inliers = np.abs(np.array((nx, ny, nz)) @ cols - (nx * xi + ny * yi + nz * zi)) < threshold
+        count = np.count_nonzero(inliers)
         if count > best_count:
             best_count = count
             best_inliers = inliers
@@ -188,24 +213,34 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     if best_inliers is None or best_count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
 
-    normal, d = _least_squares_plane(pts[best_inliers])
+    rel = cols  # from here on only offsets from the first inlier are needed
+    rel -= rel[:, [np.argmax(best_inliers)]]
     # Keep the points within the threshold of the refit plane L.  At least 3
     # remain: the winning sample plane S has residual 0 on its 3 points and
     # below t on its other m-3 inliers, so sum r_S^2 < (m-3) t^2, and least
     # squares gives sum r_L^2 <= sum r_S^2; were fewer than 3 inliers within t
     # of L, at least m-2 would lie at t or beyond, so sum r_L^2 >= (m-2) t^2.
-    # Only rounding, at t below about 1e-7 of the cloud's size, can break it.
-    final = np.abs(pts @ normal + d) < threshold
-    if final.sum() < 3:
+    # Only rounding can break it, and only at t near the rounding of the
+    # coordinates themselves (1e-16 of their distance from the origin, so
+    # 1e-13 at 1e3 m): the moments are summed about an inlier, so their own
+    # rounding scales with the inliers' spread, not with that distance.
+    fitted = best_inliers
+    final = _refit_inliers(rel, fitted, best_count, threshold)
+    count = np.count_nonzero(final)
+    if count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
     # Local refit: only a strictly larger inlier set replaces the current one,
     # so the 3 kept above stay a lower bound.
     for _ in range(LOCAL_REFIT_ROUNDS):
-        grown_normal, grown_d = _least_squares_plane(pts[final])
-        grown = np.abs(pts @ grown_normal + grown_d) < threshold
-        if grown.sum() <= final.sum():
+        grown = _refit_inliers(rel, final, count, threshold)
+        grown_count = np.count_nonzero(grown)
+        if grown_count <= count:
             break
-        normal, d, final = grown_normal, grown_d, grown
+        fitted, final, count = final, grown, grown_count
+    del rel, cols  # release the (3, N) copy before the gather below
+    # Report the least-squares plane of the set that chose `final`, taken
+    # about that set's own centroid, which rounds least.
+    normal, d = _least_squares_plane(cloud.points.take(valid_idx[fitted], axis=0))
     return PlaneModel(normal, d, valid_idx[final])
 
 

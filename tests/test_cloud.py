@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,11 +30,6 @@ def test_cloud_accessors_and_indexing():
     cloud = PointCloud([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert np.array_equal(cloud.z, [3.0, 6.0])
     assert tuple(cloud.points[1]) == (4.0, 5.0, 6.0)
-
-
-def test_valid_mask_flags_nan_rows():
-    cloud = PointCloud([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]])
-    assert np.array_equal(cloud.valid_mask(), [True, False, False])
 
 
 def test_sort_by_z_is_stable_ascending():
@@ -66,10 +61,46 @@ def test_workspace_filter_drops_nan_and_sorts():
     cloud = PointCloud([
         [0.0, 0.0, 0.09],
         [np.nan, 0.0, 0.05],
+        [0.0, np.inf, 0.05],
+        [0.0, -np.inf, 0.05],  # below y_max, yet not a measurement
         [0.0, 0.0, 0.02],
+        [0.0, 0.0, np.nan],
     ])
     kept = workspace_filter(cloud, BOUNDS)
     assert np.array_equal(kept.z, [0.02, 0.09])
+
+
+def reference_workspace_filter(cloud, bounds):
+    # the crop's definition: finite rows strictly inside the box, then a
+    # stable sort by z
+    pts = cloud.points
+    keep = (
+        np.isfinite(pts).all(axis=1)
+        & (pts[:, 0] > bounds.x_min)
+        & (pts[:, 0] < bounds.x_max)
+        & (pts[:, 1] < bounds.y_max)
+        & (pts[:, 2] > bounds.z_min)
+        & (pts[:, 2] < bounds.z_max)
+    )
+    return cloud.select(keep).sort_by_z()
+
+
+# every bound of BOUNDS, the non-finite values, and a few plain coordinates
+EDGE_VALUES = (-0.2, 0.2, 0.0, 0.17, math.nan, math.inf, -math.inf, 0.05, -0.1, 0.3)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(points=arrays(float, st.tuples(st.integers(0, 24), st.just(3)),
+                     elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                                        st.floats(-0.3, 0.3, allow_nan=False))))
+@example(points=np.array([[0.0, -math.inf, 0.05], [0.0, 0.0, 0.05], [0.1, -math.inf, 0.02]]))
+@example(points=np.column_stack([np.linspace(-0.1, 0.1, 60), np.zeros(60),
+                                  np.tile([0.05, 0.02, 0.1], 20)]))  # ties in z keep input order
+def test_workspace_filter_matches_its_definition(points):
+    cloud = PointCloud(points)
+    got, want = workspace_filter(cloud, BOUNDS), reference_workspace_filter(cloud, BOUNDS)
+    assert got.points.shape == want.points.shape
+    assert np.array_equal(got.points, want.points)
 
 
 def test_bounds_validation():

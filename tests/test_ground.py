@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soilprobe.cloud import PointCloud, workspace_filter
+from soilprobe.cloud import PointCloud, load_cloud, save_cloud, workspace_filter
 from soilprobe.ground import (
     BAND_WIDTHS,
+    LOCAL_REFIT_ROUNDS,
+    RANSAC_CONFIDENCE,
     RANSAC_MAX_DRAWS,
     GroundEstimate,
     PlaneModel,
@@ -20,7 +23,7 @@ from soilprobe.ground import (
     refinement_history,
     score_bin,
 )
-from soilprobe.scene import generate_pot_scene, scene_bounds
+from soilprobe.scene import PotSceneParams, generate_pot_scene, scene_bounds
 
 
 def cloud_from_z(z_values, rng=None):
@@ -212,17 +215,35 @@ def test_ransac_refit_permutation_invariant():
     assert abs(a.d - b.d) < 1e-9
 
 
-@settings(max_examples=50, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
-       spread=st.tuples(*[st.floats(1e-3, 1.0)] * 3), log_threshold=st.floats(-6.0, 0.0))
-def test_ransac_refit_keeps_consensus(seed, n, spread, log_threshold):
+def check_refit_keeps_consensus(seed, n, spread, log_threshold, offset=0.0):
     # the least-squares refit keeps at least 3 points within the threshold
     # (the proof is in fit_plane_ransac), from 1e-6 to 1 times the cloud's size
     points = np.random.default_rng(seed).normal(0.0, spread, (n, 3))
     threshold = 10.0**log_threshold * np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    points = points + offset
     model = fit_plane_ransac(PointCloud(points), threshold=threshold, seed=seed)
     assert model.inlier_count >= 3
     assert (np.abs(points[model.inlier_indices] @ model.normal + model.d) < threshold).all()
+
+
+consensus_cases = given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+                        spread=st.tuples(*[st.floats(1e-3, 1.0)] * 3),
+                        log_threshold=st.floats(-6.0, 0.0))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@consensus_cases
+def test_ransac_refit_keeps_consensus(seed, n, spread, log_threshold):
+    check_refit_keeps_consensus(seed, n, spread, log_threshold)
+
+
+@pytest.mark.parametrize("offset", [1.0, 1e3])
+@settings(max_examples=25, deadline=None, database=None)
+@consensus_cases
+def test_ransac_refit_keeps_consensus_far_from_origin(offset, seed, n, spread, log_threshold):
+    # the refit's moments are taken about a point of the cloud, so a cloud
+    # far from the origin keeps the same guarantee at the same thresholds
+    check_refit_keeps_consensus(seed, n, spread, log_threshold, offset)
 
 
 class CountingRng:
@@ -293,6 +314,107 @@ def test_ransac_failure_modes():
     line = PointCloud(np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)]))
     with pytest.raises(ValueError, match="plane fit failed"):
         fit_plane_ransac(line, seed=0)
+
+
+def test_ransac_refit_is_exact_far_from_origin():
+    # a tilted 1 cm patch 1 km out, at a threshold of 1 nm: moments summed
+    # about the origin would tilt the refit by ~1e-5 and lose the patch
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        xy = rng.uniform(-0.005, 0.005, (200, 2))
+        points = np.column_stack([xy, 0.1 * xy[:, 0] - 0.05 * xy[:, 1]]) + 1e3
+        model = fit_plane_ransac(PointCloud(points), threshold=1e-9, seed=seed)
+        assert model.inlier_count == 200
+
+
+def test_ransac_leaves_its_input_alone():
+    # the fit turns its copy of the points into offsets in place; a cloud
+    # whose array is F-ordered must still come back unchanged
+    rng = np.random.default_rng(12)
+    for points in (plane_with_outliers(rng, n_in=150, n_out=50).points,
+                   np.asfortranarray(plane_with_outliers(rng, n_in=150, n_out=50).points)):
+        before = points.copy()
+        fit_plane_ransac(PointCloud(points), seed=1)
+        assert np.array_equal(points, before)
+
+
+def test_ransac_skips_non_finite_rows():
+    rng = np.random.default_rng(11)
+    plane = plane_with_outliers(rng, n_in=150, n_out=50).points
+    bad = np.array([[np.nan, 0.0, 0.8], [0.0, np.inf, 0.8], [0.0, -np.inf, 0.8],
+                    [0.0, 0.0, np.nan], [np.inf, np.nan, -np.inf]])
+    mixed = np.vstack([bad[:2], plane[:100], bad[2:], plane[100:]])
+    finite_rows = np.r_[2:102, 105:205]
+    a = fit_plane_ransac(PointCloud(plane), seed=4)
+    b = fit_plane_ransac(PointCloud(mixed), seed=4)
+    assert np.array_equal(b.normal, a.normal) and b.d == a.d
+    assert np.array_equal(b.inlier_indices, finite_rows[a.inlier_indices])
+
+
+def reference_plane_fit(cloud, threshold, seed):
+    # fit_plane_ransac with every refit on the gathered inlier rows, centred
+    # on their own centroid: the arithmetic the moment refits are held to
+    def least_squares(points):
+        centroid = points.mean(axis=0)
+        centered = points - centroid
+        normal = np.linalg.eigh(centered.T @ centered)[1][:, 0]
+        for axis in (2, 1, 0):
+            if abs(normal[axis]) > 1e-12:
+                normal = normal if normal[axis] > 0 else -normal
+                break
+        normal = normal / np.linalg.norm(normal)
+        return normal, float(-normal @ centroid)
+
+    valid_idx = np.flatnonzero(np.isfinite(cloud.points).all(axis=1))
+    pts = cloud.points[valid_idx]
+    n = len(pts)
+    rng = np.random.default_rng(seed)
+    scale = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0))) or 1.0
+    best_count, best, needed, drawn = 0, None, RANSAC_MAX_DRAWS, 0
+    while drawn < needed:
+        drawn += 1
+        i, j, k = rng.choice(n, size=3, replace=False)
+        normal = np.cross(pts[j] - pts[i], pts[k] - pts[i])
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12 * scale * scale:
+            continue
+        normal = normal / norm
+        inliers = np.abs(pts @ normal - normal @ pts[i]) < threshold
+        count = int(inliers.sum())
+        if count > best_count:
+            best_count, best = count, inliers
+            w3 = (count / n) ** 3
+            needed = 1 if w3 == 1.0 else min(
+                RANSAC_MAX_DRAWS, math.ceil(math.log1p(-RANSAC_CONFIDENCE) / math.log1p(-w3)))
+    normal, d = least_squares(pts[best])
+    final = np.abs(pts @ normal + d) < threshold
+    for _ in range(LOCAL_REFIT_ROUNDS):
+        grown_normal, grown_d = least_squares(pts[final])
+        grown = np.abs(pts @ grown_normal + grown_d) < threshold
+        if grown.sum() <= final.sum():
+            break
+        normal, d, final = grown_normal, grown_d, grown
+    return normal, d, valid_idx[final]
+
+
+def reference_cases():
+    for seed in range(6):
+        rng = np.random.default_rng(200 + seed)
+        yield plane_with_outliers(rng, n_in=150, n_out=100), 0.005, seed
+        yield make_noisy_plane(rng), 0.0075, seed
+    tilted = plane_with_outliers(np.random.default_rng(9), n_in=300, n_out=30).points
+    tilted[::7] = np.nan
+    yield PointCloud(tilted + 1e3), 0.002, 9
+    cloud, _ = generate_pot_scene(seed=5)
+    yield refine_ground_band(workspace_filter(cloud, scene_bounds())), 0.005, 5
+
+
+def test_ransac_matches_the_gathering_reference():
+    for cloud, threshold, seed in reference_cases():
+        model = fit_plane_ransac(cloud, threshold=threshold, seed=seed)
+        normal, d, inliers = reference_plane_fit(cloud, threshold, seed)
+        assert np.array_equal(model.normal, normal) and model.d == d
+        assert np.array_equal(model.inlier_indices, inliers)
 
 
 def test_plane_model_validation():
@@ -381,3 +503,66 @@ def test_estimate_record_format():
     assert lines[3] == "g_min=1,0,1"
     assert lines[4] == "approach=1,0.03,1"
     assert lines[5] == "inlier_count=3"
+
+
+# sha256 of estimate_to_text(detect_ground(generate_pot_scene(seed=s)[0],
+# scene_bounds(), seed=s)) for s = 0..19; a change that moves any estimate
+# byte must update these and say which scenes changed and why
+ESTIMATE_DIGESTS = (
+    "af878b4a1c90cc117a61f91c20d7c33b0cd78030b7fe952e15ec15ccfee849f7",
+    "d4ab7e1e23c6f3ce323f23f36572fa2f6102fd5a0bae2a8cd023725c85a744af",
+    "8d473957bc3e07e30297bfa2fbd9fbadf4157173c665ba21b3d3f37456c7e3d0",
+    "d9f37af0ebfff1034e2a6d43cdd9ade4a69fce02ee01fffc384db9f06c264854",
+    "a49088de945522273b77a4373a767a5659a7f42894949ee0efa7b10ebd3cc565",
+    "f331f5f23b61230df89f1b936a5859adc7f37ce4e3e6d6c6ed889e0090d0af5c",
+    "c3f00891227318a76592eafb0408d2dc8721b82936d1283c2523ec3ff423dac0",
+    "250602f4fe1a8b1a3787911b2bf9272a69bddf2d3526ce0c9c78dbaa1273da28",
+    "07e3c801ea6750e85c6e54d84543427704f90c25338fde0e429e5cb6ed09cab1",
+    "ad89c64932312c019dd79fddb7e2b81089d044f1080f01302a07be646e244f88",
+    "36cbd700a518c4b1779ee904e67877d2aa59a22c9d6a7e7c3eefbdc4a8d387d4",
+    "fbde1b2be73265bc23dd10ea6dd2d20d0d58347c9e6d35064bdf6abc933c2911",
+    "d47259459ab4dd7fd139918575ee635fbf83ce64e1caee3e6199fc1b3dd9c309",
+    "8d9e23d3629fb6228a9c2e4271dac8ff9dc1d5a931625d0509e06c9d5a0dd02a",
+    "b0376b7f3d2ab3e8728c7421d73d223a30a2a5963499a1199d27eac89a5918a3",
+    "ae58fd727ffe86658b15a040032397bc58403b5fc05ee9eef42510e0c440c20b",
+    "bb4ea12bba913a1c2566ea32fda98014b4111d26bdcccb8a2f1951135998dd11",
+    "4ed7aeccdf70bcccb287098fe4b77227539b5493ef63c0b891df52f85c623e45",
+    "bbb1bbfaa35f04cfab7d80579985bde717771b3c5f717697b85fef4b52ef93ce",
+    "0fcd6efb131b56019ab2b2da9ab4dab0aad3733af46399a574f8a63214de3d37",
+)
+# sha256 of the float.hex() of the same 20 estimates' surface depth at the
+# approach point, one per line: the depth the pipeline hands the controller
+DEPTH_DIGEST = "f3db5800ae29585da6d6a1b51289caddec90057b68b12426e00261f3518ef4e0"
+# the estimate digest and the depth for seed 100 of a scene at 16x the
+# default counts (~95k points), with ~5% of rows set to NaN, read back
+# through save_cloud/load_cloud
+DENSE_ESTIMATE_DIGEST = "9ffdba46795b35ff8d6a40bcb72bb53d944746d8ad2c42c4bb61fe523cd0604d"
+DENSE_DEPTH = "-0x1.993de6856e49dp-4"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_estimate_bytes_are_pinned():
+    ests = [detect_ground(generate_pot_scene(seed=s)[0], scene_bounds(), seed=s) for s in range(20)]
+    assert tuple(sha256(estimate_to_text(est)) for est in ests) == ESTIMATE_DIGESTS
+    # the text rounds the plane to 9 digits; the depth keeps every bit of it,
+    # and the pipeline's trace and summary bytes follow from the depth
+    depths = "\n".join(float.hex(-est.z_at(est.approach.x, est.approach.y)) for est in ests)
+    assert sha256(depths) == DEPTH_DIGEST
+
+
+def test_dense_cloud_estimate_bytes_are_pinned(tmp_path):
+    d = PotSceneParams()
+    dense = PotSceneParams(n_soil=16 * d.n_soil, n_rim=16 * d.n_rim, n_wall=16 * d.n_wall,
+                           n_foliage=16 * d.n_foliage, n_table=16 * d.n_table)
+    points = generate_pot_scene(dense, seed=100)[0].points.copy()
+    points[np.random.default_rng(100).random(len(points)) < 0.05] = np.nan
+    path = tmp_path / "dense.txt"
+    save_cloud(PointCloud(points), path)
+    cloud = load_cloud(path)
+    assert np.isnan(cloud.points).any(axis=1).sum() > 4000
+    est = detect_ground(cloud, scene_bounds(), seed=100)
+    assert sha256(estimate_to_text(est)) == DENSE_ESTIMATE_DIGEST
+    assert float.hex(-est.z_at(est.approach.x, est.approach.y)) == DENSE_DEPTH
