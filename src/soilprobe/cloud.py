@@ -76,7 +76,25 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
         & (z < bounds.z_max)
     )
     idx = np.flatnonzero(keep)
-    return cloud.select(idx[np.argsort(z[idx], kind="stable")])
+    return cloud.select(idx[_stable_order(z[idx])])
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """np.argsort(values, kind="stable"), faster, for values without NaN.
+
+    The default sort orders the values but may reorder ties; numbering the
+    runs of equal values then gives each position a tie-group id, and one
+    sort of the unique keys `group * n + position` puts the groups in order
+    and each group's positions in input order.  -0.0 and 0.0 share a group,
+    as they tie in the stable sort.  NaN is unequal to itself, so each NaN
+    would get a group of its own and lose its input order.
+    """
+    n = values.size
+    order = np.argsort(values)
+    ranked = values[order]
+    group = np.zeros(n, dtype=np.int64)
+    np.cumsum(ranked[1:] != ranked[:-1], out=group[1:])
+    return np.sort(group * n + order) % n
 
 
 # Text format: one `x,y,z` triple per line, 9 significant digits; `#` starts

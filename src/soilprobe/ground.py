@@ -259,7 +259,7 @@ class GroundEstimate:
         n = self.plane.normal
         if abs(n[2]) < 1e-9:
             raise ValueError("plane is vertical; height undefined")
-        return -(self.plane.d + n[0] * x + n[1] * y) / n[2]
+        return float(-(self.plane.d + n[0] * x + n[1] * y) / n[2])
 
 
 def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstimate:

@@ -4,7 +4,9 @@ contact, track a force setpoint while the compliance estimate adapts."""
 from __future__ import annotations
 
 import math
+import numbers
 import struct
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,14 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind: '{self.scenario}' "
                              f"(choose from {', '.join(SCENARIO_KINDS)})")
         for name, value in vars(self).items():
+            if name in _FLOAT_FIELDS:
+                if not isinstance(value, numbers.Real):
+                    raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+                # a numpy scalar kept here would turn every step of
+                # run_scenario's loop into numpy-scalar arithmetic, which
+                # gives the same doubles about three times slower
+                value = float(value)
+                object.__setattr__(self, name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.duration <= 0:
@@ -118,6 +128,12 @@ class ScenarioConfig:
 
     def robot_model(self) -> RobotModel:
         return RobotModel(self.tracking_tau)
+
+
+# the fields that ScenarioConfig stores as Python floats
+_FLOAT_FIELDS = frozenset(
+    name for name, kind in typing.get_type_hints(ScenarioConfig).items() if kind is float
+)
 
 
 def scenario_preset(name: str, **overrides) -> ScenarioConfig:

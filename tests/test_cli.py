@@ -318,6 +318,22 @@ def test_pipeline_emits_all_artifacts(tmp_path):
     assert sse <= 0.1
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["generated", "input"])
+def test_pipeline_hands_the_loop_python_floats(tmp_path, monkeypatch, from_file):
+    configs = []
+    real_run = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: configs.append(cfg) or real_run(cfg))
+    args = ["pipeline", "--seed", "3", "--out-dir", str(tmp_path / "run")]
+    if from_file:
+        cloud, _ = generate_pot_scene(seed=3)
+        save_cloud(cloud, tmp_path / "scene.txt")
+        args += ["--input", str(tmp_path / "scene.txt")]
+    assert run(*args) == 0
+    [cfg] = configs
+    assert type(cfg.surface_true) is float
+    assert type(cfg.surface_detected) is float
+
+
 @pytest.mark.parametrize("spelling", SEED_SPELLINGS, ids=["space", "equals"])
 def test_pipeline_flag_overrides_config(tmp_path, spelling):
     cfg = tmp_path / "pipe.cfg"

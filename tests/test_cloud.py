@@ -87,6 +87,15 @@ def reference_workspace_filter(cloud, bounds):
 
 # every bound of BOUNDS, the non-finite values, and a few plain coordinates
 EDGE_VALUES = (-0.2, 0.2, 0.0, 0.17, math.nan, math.inf, -math.inf, 0.05, -0.1, 0.3)
+# BOUNDS with z = -0.0 and z = 0.0 inside the box
+LOW_BOUNDS = WorkspaceBounds(x_min=-0.2, x_max=0.2, y_max=0.2, z_min=-0.1, z_max=0.17)
+
+# 6000 points with z quantized to 1 mm, as a depth camera reports it: about
+# 28 points per tie group, above the 16 below which numpy's default sort
+# keeps ties in order anyway, and -0.0 and 0.0 in one group
+_rng = np.random.default_rng(18)
+QUANTIZED_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, 6000), _rng.uniform(-0.3, 0.19, 6000),
+                                   np.round(_rng.uniform(-0.05, 0.16, 6000), 3)])
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -96,11 +105,18 @@ EDGE_VALUES = (-0.2, 0.2, 0.0, 0.17, math.nan, math.inf, -math.inf, 0.05, -0.1, 
 @example(points=np.array([[0.0, -math.inf, 0.05], [0.0, 0.0, 0.05], [0.1, -math.inf, 0.02]]))
 @example(points=np.column_stack([np.linspace(-0.1, 0.1, 60), np.zeros(60),
                                   np.tile([0.05, 0.02, 0.1], 20)]))  # ties in z keep input order
+@example(points=QUANTIZED_CLOUD)
+@example(points=np.array([[0.0, 0.0, 0.0], [0.01, 0.0, -0.0], [0.02, 0.0, 0.0],
+                          [0.03, 0.0, -0.0], [0.04, 0.0, 0.05]]))  # -0.0 ties 0.0
+@example(points=np.array([[0.3, 0.0, 0.05], [0.0, 0.0, 0.2]]))  # nothing kept
+@example(points=np.array([[0.3, 0.0, 0.05], [0.0, 0.0, 0.05]]))  # one point kept
 def test_workspace_filter_matches_its_definition(points):
     cloud = PointCloud(points)
-    got, want = workspace_filter(cloud, BOUNDS), reference_workspace_filter(cloud, BOUNDS)
-    assert got.points.shape == want.points.shape
-    assert np.array_equal(got.points, want.points)
+    for bounds in (BOUNDS, LOW_BOUNDS):
+        got, want = workspace_filter(cloud, bounds), reference_workspace_filter(cloud, bounds)
+        assert got.points.shape == want.points.shape
+        # bitwise, so that a -0.0 swapped with a 0.0 counts
+        assert got.points.tobytes() == want.points.tobytes()
 
 
 def test_bounds_validation():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from soilprobe.cloud import PointCloud, load_cloud, save_cloud, workspace_filter
 from soilprobe.ground import (
@@ -119,6 +120,21 @@ def test_refinement_history_is_nested():
     assert len(history) == 7
     for finer, coarser in zip(history[1:], history[:-1]):
         assert np.isin(finer, coarser).all()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(points=arrays(float, st.tuples(st.integers(1, 40), st.just(3)),
+                     elements=st.one_of(st.sampled_from([0.0, -0.0, 0.05, 0.1]),
+                                        st.floats(-1e3, 1e3))))
+def test_refinement_history_is_nested_for_any_cloud(points):
+    history = refinement_history(PointCloud(points))
+    assert len(history) == len(BAND_WIDTHS)
+    coarser = np.arange(len(points))
+    for finer in history:
+        assert finer.size > 0
+        assert (np.diff(finer) > 0).all()  # in input order
+        assert np.isin(finer, coarser).all()
+        coarser = finer
 
 
 def test_refine_keeps_slab_rejects_foliage():
@@ -464,6 +480,7 @@ def test_estimate_height_query():
     plane = PlaneModel(np.array([0.0, 0.0, 1.0]), -0.8, np.array([0]))
     est = GroundEstimate(plane, None, None, None)
     assert est.z_at(0.3, -0.2) == pytest.approx(0.8)
+    assert type(est.z_at(0.3, -0.2)) is float  # not the normal's numpy scalar
     vertical = PlaneModel(np.array([1.0, 0.0, 0.0]), 0.0, np.array([0]))
     with pytest.raises(ValueError):
         GroundEstimate(vertical, None, None, None).z_at(0.0, 0.0)

@@ -70,6 +70,24 @@ def test_config_rejects_non_finite(overrides, name):
         scenario_preset("moist", **overrides)
 
 
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+def test_config_stores_python_floats(scalar):
+    # a numpy scalar kept in a field would make the step loop's arithmetic
+    # numpy-scalar arithmetic: the same doubles, about three times slower
+    given = {name: scalar(getattr(ScenarioConfig(), name)) for name in FLOAT_FIELDS}
+    cfg = ScenarioConfig(**given, seed=np.int64(3))
+    for name in FLOAT_FIELDS:
+        assert type(getattr(cfg, name)) is float, name
+        assert getattr(cfg, name) == float(given[name]), name
+    assert type(cfg.seed) is np.int64 and type(cfg.fixed_reference) is bool
+    assert type(scenario_preset("moist", duration=3).duration) is float
+
+
+def test_config_rejects_non_numbers():
+    with pytest.raises(TypeError, match="^env_stiffness must be a real number, got str$"):
+        ScenarioConfig(env_stiffness="500")
+
+
 def test_step_count_is_bounded():
     dt = 2**-10  # duration / dt is exact
     scenario_preset("moist", dt=dt, duration=(MAX_STEPS - 1) * dt)  # MAX_STEPS steps pass
