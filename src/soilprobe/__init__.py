@@ -30,7 +30,6 @@ from .ground import (
     GroundEstimate,
     PlaneModel,
     Point3,
-    bin_points,
     detect_ground,
     estimate_to_text,
     extract_ground_estimate,

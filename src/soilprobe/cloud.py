@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import bz2
+import gzip
+import lzma
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -104,20 +108,36 @@ def save_cloud(cloud: PointCloud, path) -> None:
     np.savetxt(path, cloud.points, fmt="%.9g", delimiter=",")
 
 
+# numpy decompresses a file it reads by name by these suffixes; the line
+# parser opens it the same way
+_OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
+
+
 def load_cloud(path) -> PointCloud:
-    """Read a cloud file; an empty or comment-only file gives an empty cloud."""
-    with open(path) as f:
+    """Read a cloud file; an empty or comment-only file gives an empty cloud.
+
+    A file named *.gz, *.bz2, *.xz or *.lzma is decompressed first.
+    """
+    # Opening the file here, though numpy reads it by name, makes a missing
+    # file fail with the system's message, and a URL-like path fail before
+    # numpy could take it for a URL.
+    with open(path):
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                return PointCloud(np.loadtxt(f, delimiter=",", comments="#", ndmin=2))
-        except ValueError:
-            pass
-        # numpy rejected the text, and its row numbers are not consistent
-        # (0-based for a bad number, 1-based for a short line): parse again
-        # line by line, so a malformed file fails with an error naming its line.
-        f.seek(0)
-        return cloud_from_text(f.read())
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    # by name, numpy reads the file in blocks; given a file
+                    # object, it iterates it line by line
+                    return PointCloud(np.loadtxt(path, delimiter=",", comments="#", ndmin=2))
+            except ValueError:
+                pass
+            # numpy rejected the text, and its row numbers are not consistent
+            # (0-based for a bad number, 1-based for a short line): parse again
+            # line by line, so a malformed file fails with an error naming its line.
+            with _OPENERS.get(os.path.splitext(path)[1], open)(path, "rt") as f:
+                return cloud_from_text(f.read())
+        except (EOFError, lzma.LZMAError) as err:  # a truncated or foreign compressed stream
+            raise ValueError(f"{os.fspath(path)}: {err}") from None
 
 
 def cloud_from_text(text: str) -> PointCloud:

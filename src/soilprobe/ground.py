@@ -32,22 +32,52 @@ class Point3:
     z: float
 
 
-def bin_points(z: np.ndarray, dz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split z values into contiguous bins of width dz.
+def bin_bounds(z: np.ndarray, dz: float) -> np.ndarray:
+    """Split ascending, finite z values into contiguous bins of width dz.
 
-    Bins are anchored at the minimum z; the last bin may be shorter.
-    Returns (idx, counts): the bin of every point, and the population of
-    every bin, lowest z first.
+    Bins are anchored at the minimum z; the last bin may be shorter.  A point
+    falls in bin min(floor((z - z_min) / dz), n_bins - 1).  Returns the
+    n_bins + 1 bin bounds: bin k holds z[bounds[k]:bounds[k + 1]], lowest z
+    first.  Each bound is found by binary search, so the cost grows with the
+    bin count and the log of the point count, not with the point count.
     """
     if z.size == 0:
         raise ValueError("no points to bin")
     if dz <= 0:
         raise ValueError("dz must be positive")
-    z_min = float(z.min())
-    z_max = float(z.max())
-    n_bins = max(1, math.ceil((z_max - z_min) / dz))
-    idx = np.minimum(np.floor((z - z_min) / dz).astype(int), n_bins - 1)
-    return idx, np.bincount(idx, minlength=n_bins)
+    z_min = float(z[0])
+    n_bins = max(1, math.ceil((float(z[-1]) - z_min) / dz))
+    k = np.arange(1, n_bins)
+    # Bin k starts at the first point whose bin is k or more.  The nominal
+    # edge z_min + k dz finds it unless rounding puts a point beside that
+    # edge in the other bin; such bounds are searched again on the formula.
+    starts = np.searchsorted(z, z_min + k * dz)
+    wrong = ((starts < z.size) & (_bin_at(z, starts, z_min, dz) < k)) | (
+        (starts > 0) & (_bin_at(z, starts - 1, z_min, dz) >= k)
+    )
+    if wrong.any():
+        starts[wrong] = _first_in_bin(z, z_min, dz, k[wrong])
+    return np.concatenate(([0], starts, [z.size]))
+
+
+def _bin_at(z: np.ndarray, pos: np.ndarray, z_min: float, dz: float) -> np.ndarray:
+    # floor((z - z_min) / dz) at each position: the bin of the point there,
+    # before the last bin's cap.  Callers mask out positions -1 and z.size,
+    # which read the last point here.
+    return np.floor((z[np.minimum(pos, z.size - 1)] - z_min) / dz)
+
+
+def _first_in_bin(z: np.ndarray, z_min: float, dz: float, k: np.ndarray) -> np.ndarray:
+    # Bisection on positions, all bins at once: the bin formula is monotone
+    # in z, so the first point of bin k or above lies in [lo, hi].
+    lo = np.zeros(k.size, dtype=np.intp)
+    hi = np.full(k.size, z.size, dtype=np.intp)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        above = _bin_at(z, mid, z_min, dz) >= k
+        hi = np.where(open_ & above, mid, hi)
+        lo = np.where(open_ & ~above, mid + 1, lo)
+    return lo
 
 
 def score_bin(prev_count: int, cur_count: int, next_count: int) -> float:
@@ -69,31 +99,49 @@ def _best_bin(counts: np.ndarray) -> int:
     return int(np.argmax(score_bin(padded[:-2], counts, padded[2:])))
 
 
+def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
+    # The kept range [lo, hi) of ascending z after each pass.  Each pass
+    # bins z[lo:hi], picks the highest-scoring bin and keeps the points
+    # strictly within half a bin width of that bin's z range: on ascending z
+    # the bin's range is its first and last value, and the kept points are
+    # one contiguous range, found by two binary searches.
+    if z.size > 1 and not (z[1:] >= z[:-1]).all():
+        if not np.isfinite(z).all():
+            raise ValueError("band refinement needs finite z values")
+        raise ValueError("band refinement needs the points sorted by ascending z")
+    if z.size and not (math.isfinite(z[0]) and math.isfinite(z[-1])):
+        raise ValueError("band refinement needs finite z values")
+    lo, hi = 0, z.size
+    passes = []
+    for dz in BAND_WIDTHS:
+        band = z[lo:hi]
+        bounds = bin_bounds(band, dz)
+        best = _best_bin(np.diff(bounds))
+        z_lo = float(band[bounds[best]]) - dz / 2.0
+        z_hi = float(band[bounds[best + 1] - 1]) + dz / 2.0
+        lo, hi = lo + int(band.searchsorted(z_lo, "right")), lo + int(band.searchsorted(z_hi, "left"))
+        passes.append((lo, hi))
+    return passes
+
+
 def refinement_history(cloud: PointCloud) -> list[np.ndarray]:
     """Index sets retained after each refinement pass (into the input cloud).
 
     Each pass re-bins the surviving points at the current width, picks the
     highest-scoring bin and keeps the points within half a bin width of that
     bin's z range, at each width of BAND_WIDTHS in turn.  Retained sets are
-    nested by construction.
+    nested by construction.  The cloud must be sorted by ascending z with
+    finite z values, as workspace_filter returns it; else ValueError.
     """
-    kept = np.arange(len(cloud))
-    history = []
-    for dz in BAND_WIDTHS:
-        z = cloud.z[kept]
-        idx, counts = bin_points(z, dz)
-        member_z = z[idx == _best_bin(counts)]
-        z_lo = float(member_z.min()) - dz / 2.0
-        z_hi = float(member_z.max()) + dz / 2.0
-        kept = kept[(z > z_lo) & (z < z_hi)]
-        history.append(kept)
-    return history
+    return [np.arange(lo, hi) for lo, hi in _band_passes(cloud.z)]
 
 
 def refine_ground_band(cloud: PointCloud) -> PointCloud:
-    """Reduce a workspace cloud to the band around the dominant low surface,
-    keeping the input's point order."""
-    return cloud.select(refinement_history(cloud)[-1])
+    """Reduce a workspace cloud, sorted by ascending finite z as
+    workspace_filter returns it, to the band around the dominant low
+    surface: a contiguous range of its points, in their input order."""
+    lo, hi = _band_passes(cloud.z)[-1]
+    return cloud.select(slice(lo, hi))
 
 
 @dataclass(frozen=True)

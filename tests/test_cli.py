@@ -1,4 +1,5 @@
 import dataclasses
+import lzma
 import re
 import tracemalloc
 from pathlib import Path
@@ -246,6 +247,22 @@ def test_too_many_steps_exit_1_before_any_run(tmp_path, capsys, monkeypatch, com
 
 def test_missing_config_file_exits_2(tmp_path):
     assert run("simulate", "--config", str(tmp_path / "absent.cfg")) == 2
+
+
+def test_unreadable_input_exits_2_with_its_reason(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    assert run("detect", "--input", str(missing)) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    # a .gz name is read as gzip: plain text under it is not a cloud
+    fake = tmp_path / "scene.gz"
+    fake.write_text("0.1,0.2,0.3\n")
+    assert run("detect", "--input", str(fake)) == 2
+    assert "Not a gzipped file" in capsys.readouterr().err
+    # a cut-off xz stream is named too, where lzma's own error would escape
+    cut = tmp_path / "scene.xz"
+    cut.write_bytes(lzma.compress(b"0.1,0.2,0.3\n")[:-8])
+    assert run("detect", "--input", str(cut)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cut}: Compressed file ended")
 
 
 def test_usage_errors_exit_1(capsys):

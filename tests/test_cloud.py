@@ -1,4 +1,7 @@
+import bz2
+import gzip
 import io
+import lzma
 import math
 import warnings
 
@@ -157,6 +160,16 @@ def test_text_numpy_rejects_still_parses(tmp_path):
         with pytest.raises(ValueError):
             np.loadtxt(io.BytesIO(text), delimiter=",", comments="#", ndmin=2)
         assert load_cloud(write_cloud_file(tmp_path, text)).points.tolist() == points
+
+
+def test_compressed_cloud_loads_by_its_suffix(tmp_path):
+    text = b"# scene\n0.1,0.2,0.3\n1_0,-2,3e-3\n"  # the second row only the line parser reads
+    for suffix, compress in ((".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress)):
+        path = tmp_path / f"cloud.txt{suffix}"
+        path.write_bytes(compress(text))
+        assert load_cloud(path).points.tolist() == [[0.1, 0.2, 0.3], [10.0, -2.0, 3e-3]]
+        path.write_bytes(compress(text.replace(b"1_0", b"1")))
+        assert load_cloud(path).points.tolist() == [[0.1, 0.2, 0.3], [1.0, -2.0, 3e-3]]
 
 
 def test_text_format_reports_line_numbers(tmp_path):

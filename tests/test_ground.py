@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +15,7 @@ from soilprobe.ground import (
     RANSAC_MAX_DRAWS,
     GroundEstimate,
     PlaneModel,
-    bin_points,
+    bin_bounds,
     detect_ground,
     estimate_to_text,
     extract_ground_estimate,
@@ -38,38 +38,53 @@ def cloud_from_z(z_values, rng=None):
 
 # ---------------------------------------------------------------- binning
 
+def bin_points(z, dz):
+    """The binning that bin_bounds is held to: the bin of every point by the
+    formula min(floor((z - z_min) / dz), n_bins - 1), and the population of
+    every bin, lowest z first; for z in any order."""
+    z_min = float(z.min())
+    z_max = float(z.max())
+    n_bins = max(1, math.ceil((z_max - z_min) / dz))
+    idx = np.minimum(np.floor((z - z_min) / dz).astype(int), n_bins - 1)
+    return idx, np.bincount(idx, minlength=n_bins)
+
+
+def bins_of(bounds):
+    # the bin of every point, from the bin bounds of ascending z
+    return np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+
+
 def test_bin_points_hand_partition():
-    idx, counts = bin_points(np.array([0.70, 0.71, 0.78]), dz=0.07)
+    z = np.array([0.70, 0.71, 0.78])
+    assert bin_bounds(z, dz=0.07).tolist() == [0, 2, 3]
+    idx, counts = bin_points(z, dz=0.07)
     assert counts.tolist() == [2, 1]
     assert idx.tolist() == [0, 0, 1]
 
 
 def test_bin_points_singleton():
-    idx, counts = bin_points(np.array([0.5]), dz=0.07)
-    assert idx.tolist() == [0] and counts.tolist() == [1]
+    assert bin_bounds(np.array([0.5]), dz=0.07).tolist() == [0, 1]
 
 
 def test_bin_points_identical_z():
-    idx, counts = bin_points(np.full(17, 0.3), dz=0.07)
-    assert counts.tolist() == [17] and (idx == 0).all()
+    assert bin_bounds(np.full(17, 0.3), dz=0.07).tolist() == [0, 17]
 
 
 def test_bin_points_partitions_every_point():
     rng = np.random.default_rng(0)
-    z = rng.uniform(0.0, 0.5, 400)
+    z = np.sort(rng.uniform(0.0, 0.5, 400))
+    bounds = bin_bounds(z, dz=0.07)
     idx, counts = bin_points(z, dz=0.07)
-    assert counts.sum() == 400
-    assert np.array_equal(np.bincount(idx, minlength=counts.size), counts)
-    # bins are contiguous z intervals: a higher bin never holds a lower point
-    order = np.argsort(z)
-    assert (np.diff(idx[order]) >= 0).all()
+    assert bounds[0] == 0 and bounds[-1] == 400
+    assert np.array_equal(np.diff(bounds), counts)
+    assert np.array_equal(bins_of(bounds), idx)
 
 
 def test_bin_points_errors():
     with pytest.raises(ValueError, match="no points to bin"):
-        bin_points(np.array([]), dz=0.07)
+        bin_bounds(np.array([]), dz=0.07)
     with pytest.raises(ValueError):
-        bin_points(np.array([0.1]), dz=0.0)
+        bin_bounds(np.array([0.1]), dz=0.0)
 
 
 # ---------------------------------------------------------------- scoring
@@ -127,7 +142,7 @@ def test_refinement_history_is_nested():
                      elements=st.one_of(st.sampled_from([0.0, -0.0, 0.05, 0.1]),
                                         st.floats(-1e3, 1e3))))
 def test_refinement_history_is_nested_for_any_cloud(points):
-    history = refinement_history(PointCloud(points))
+    history = refinement_history(PointCloud(points).sort_by_z())
     assert len(history) == len(BAND_WIDTHS)
     coarser = np.arange(len(points))
     for finer in history:
@@ -135,6 +150,52 @@ def test_refinement_history_is_nested_for_any_cloud(points):
         assert (np.diff(finer) > 0).all()  # in input order
         assert np.isin(finer, coarser).all()
         coarser = finer
+
+
+def reference_refinement_history(cloud):
+    # each pass by its definition: bin the kept points' z in any order, and
+    # keep those strictly within half a bin width of the best bin's z range
+    kept = np.arange(len(cloud))
+    history = []
+    for dz in BAND_WIDTHS:
+        z = cloud.z[kept]
+        idx, counts = bin_points(z, dz)
+        padded = np.concatenate(([0], counts, [0]))
+        member_z = z[idx == np.argmax(score_bin(padded[:-2], counts, padded[2:]))]
+        z_lo = float(member_z.min()) - dz / 2.0
+        z_hi = float(member_z.max()) + dz / 2.0
+        kept = kept[(z > z_lo) & (z < z_hi)]
+        history.append(kept)
+    return history
+
+
+@st.composite
+def sorted_z(draw):
+    """Ascending z with heavy ties (quantized to 1e-4), signed zeros, and
+    points on the nominal bin edges z_min + k dz of every width."""
+    z = draw(st.lists(st.one_of(st.integers(0, 1500).map(lambda q: q * 1e-4),
+                                st.sampled_from([0.0, -0.0]),
+                                st.floats(-0.2, 0.4)), min_size=1, max_size=50))
+    z_min = min(z)
+    z += draw(st.lists(st.builds(lambda k, dz: z_min + k * dz,
+                                 st.integers(1, 12), st.sampled_from(BAND_WIDTHS)), max_size=30))
+    return np.sort(np.array(z))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(z=sorted_z())
+# rounding puts the point on the nominal edge 0.05 + 2 dz in bin 1, not 2
+@example(z=0.05 + np.array([0, 2, 9]) * BAND_WIDTHS[3])
+@example(z=np.array([-0.0, 0.0, -0.0, 0.07, 0.07, 0.14]))
+def test_refinement_matches_its_definition(z):
+    for dz in BAND_WIDTHS:
+        idx, counts = bin_points(z, dz)
+        bounds = bin_bounds(z, dz)
+        assert np.array_equal(np.diff(bounds), counts)
+        assert np.array_equal(bins_of(bounds), idx)
+    cloud = cloud_from_z(z)
+    for got, want in zip(refinement_history(cloud), reference_refinement_history(cloud), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_refine_keeps_slab_rejects_foliage():
@@ -168,6 +229,24 @@ def test_refine_two_equal_slabs_keeps_lower():
 def test_refine_empty_cloud_errors():
     with pytest.raises(ValueError, match="no points to bin"):
         refine_ground_band(PointCloud([]))
+
+
+@pytest.mark.parametrize("z, reason", [
+    ([0.1, np.nan, 0.2], "finite z"),
+    ([0.1, 0.2, np.nan], "finite z"),
+    ([np.nan], "finite z"),
+    ([-np.inf, 0.1, 0.2], "finite z"),
+    ([0.1, 0.2, np.inf], "finite z"),
+    ([0.2, 0.1, np.inf], "finite z"),
+    ([0.2, 0.1, 0.3], "sorted by ascending z"),
+])
+def test_refine_rejects_unsorted_or_non_finite_z(z, reason):
+    # refinement searches the crop's z order, as workspace_filter returns it
+    cloud = PointCloud(np.column_stack([np.zeros((len(z), 2)), z]))
+    with pytest.raises(ValueError, match=reason):
+        refine_ground_band(cloud)
+    with pytest.raises(ValueError, match=reason):
+        refinement_history(cloud)
 
 
 # ------------------------------------------------------------------ RANSAC
