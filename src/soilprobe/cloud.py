@@ -101,16 +101,42 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return np.sort(group * n + order) % n
 
 
-# Text format: one `x,y,z` triple per line, 9 significant digits; `#` starts
+# Text format: one `x,y,z` triple per line, each value as %.9g; `#` starts
 # a comment, on a line of its own or after the data.
 
-def save_cloud(cloud: PointCloud, path) -> None:
-    np.savetxt(path, cloud.points, fmt="%.9g", delimiter=",")
+# Rows rendered per % operation, for clouds and traces alike.  One operation
+# over a whole table would hold all its values as Python floats at once;
+# chunks of this size cost no more time and little memory.
+CSV_CHUNK_ROWS = 1024
 
 
-# numpy decompresses a file it reads by name by these suffixes; the line
-# parser opens it the same way
+def csv_chunks(table: np.ndarray):
+    """Yield the rows of a 2-D float table, in row order, as lines of
+    comma-separated %.9g values, CSV_CHUNK_ROWS lines per chunk."""
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), CSV_CHUNK_ROWS):
+        chunk = table[start:start + CSV_CHUNK_ROWS]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+# A cloud file named with one of these suffixes is compressed: numpy
+# decompresses a file it reads by name by them, and the line parser and
+# save_cloud open it the same way.
 _OPENERS = {".gz": gzip.open, ".bz2": bz2.open, ".xz": lzma.open, ".lzma": lzma.open}
+
+
+def _open_by_suffix(path, mode: str):
+    return _OPENERS.get(os.path.splitext(path)[1], open)(path, mode)
+
+
+def save_cloud(cloud: PointCloud, path) -> None:
+    """Write a cloud in the text format, compressed if its name says so.
+
+    Each chunk of rows is written as soon as it is rendered, so the whole
+    text is never held at once.
+    """
+    with _open_by_suffix(path, "wt") as f:
+        f.writelines(csv_chunks(cloud.points))
 
 
 def load_cloud(path) -> PointCloud:
@@ -134,7 +160,7 @@ def load_cloud(path) -> PointCloud:
             # numpy rejected the text, and its row numbers are not consistent
             # (0-based for a bad number, 1-based for a short line): parse again
             # line by line, so a malformed file fails with an error naming its line.
-            with _OPENERS.get(os.path.splitext(path)[1], open)(path, "rt") as f:
+            with _open_by_suffix(path, "rt") as f:
                 return cloud_from_text(f.read())
         except (EOFError, lzma.LZMAError) as err:  # a truncated or foreign compressed stream
             raise ValueError(f"{os.fspath(path)}: {err}") from None

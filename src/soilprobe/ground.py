@@ -92,11 +92,13 @@ def score_bin(prev_count: int, cur_count: int, next_count: int) -> float:
     return (s1 + s2) / 2.0
 
 
-def _best_bin(counts: np.ndarray) -> int:
-    # Ties go to the lowest-z bin (argmax keeps the first maximum): the soil
-    # is the lowest dominant surface.
-    padded = np.concatenate(([0], counts, [0]))
-    return int(np.argmax(score_bin(padded[:-2], counts, padded[2:])))
+def _best_bin(counts: list[int]) -> int:
+    # Ties go to the lowest-z bin (index keeps the first maximum): the soil
+    # is the lowest dominant surface.  A pass has a few bins, and Python
+    # floats score them faster than numpy calls, by the same IEEE operations.
+    padded = [0, *counts, 0]
+    scores = [score_bin(*sides) for sides in zip(padded, counts, padded[2:])]
+    return scores.index(max(scores))
 
 
 def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
@@ -105,6 +107,9 @@ def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
     # strictly within half a bin width of that bin's z range: on ascending z
     # the bin's range is its first and last value, and the kept points are
     # one contiguous range, found by two binary searches.
+    # One contiguous copy: a cloud's z is a strided column, which the check
+    # reads slowly and searchsorted would copy on every pass.
+    z = np.ascontiguousarray(z)
     if z.size > 1 and not (z[1:] >= z[:-1]).all():
         if not np.isfinite(z).all():
             raise ValueError("band refinement needs finite z values")
@@ -115,8 +120,8 @@ def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
     passes = []
     for dz in BAND_WIDTHS:
         band = z[lo:hi]
-        bounds = bin_bounds(band, dz)
-        best = _best_bin(np.diff(bounds))
+        bounds = bin_bounds(band, dz).tolist()
+        best = _best_bin([b - a for a, b in zip(bounds, bounds[1:])])
         z_lo = float(band[bounds[best]]) - dz / 2.0
         z_hi = float(band[bounds[best + 1] - 1]) + dz / 2.0
         lo, hi = lo + int(band.searchsorted(z_lo, "right")), lo + int(band.searchsorted(z_hi, "left"))
@@ -319,9 +324,10 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
     """
     if plane.inlier_count == 0:
         raise ValueError("plane has no inliers")
-    inl = cloud.points[plane.inlier_indices]
-    center = Point3(*np.median(inl, axis=0).tolist())
-    near = Point3(center.x, float(inl[:, 1].min()), center.z)
+    # a (3, m) gather: each coordinate's inliers contiguous, for the median
+    inl = cloud.points.T.take(plane.inlier_indices, axis=1)
+    center = Point3(*np.median(inl, axis=1).tolist())
+    near = Point3(center.x, float(inl[1].min()), center.z)
     approach = Point3(near.x, near.y + APPROACH_OFFSET_Y, near.z)
     return GroundEstimate(plane, center, near, approach)
 

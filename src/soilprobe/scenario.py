@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptation import COMPLIANCE_FLOOR, AdaptationParams, stiffness_estimate
+from .cloud import csv_chunks
 from .contact import EnvironmentModel, RobotModel, SensorModel, SensorState
 from .impedance import ImpedanceParams, steady_state_reference
 
@@ -357,22 +358,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     return SimTrace(cfg, *table.T, failed=bool(reason), failure_reason=reason)
 
 
-# Trace rows rendered per % operation.  One operation over a whole 10 s trace
-# would hold 90k Python floats at once; chunks of this size keep the peak
-# memory below np.savetxt's at the same speed.
-CSV_CHUNK_ROWS = 1024
-
-
 def trace_to_csv(trace: SimTrace) -> str:
     """Render a trace as CSV with the contracted header and column order,
     each value as %.9g."""
     table = np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
-    row = ",".join(["%.9g"] * len(TRACE_COLUMNS)) + "\n"
-    parts = [",".join(TRACE_COLUMNS) + "\n"]
-    for start in range(0, len(table), CSV_CHUNK_ROWS):
-        chunk = table[start:start + CSV_CHUNK_ROWS]
-        parts.append((row * len(chunk)) % tuple(chunk.ravel().tolist()))
-    return "".join(parts)
+    return "".join([",".join(TRACE_COLUMNS) + "\n", *csv_chunks(table)])
 
 
 def format_summary(summary: dict) -> str:

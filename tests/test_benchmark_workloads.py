@@ -19,7 +19,7 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("name", ["detect", "pipeline"])
+@pytest.mark.parametrize("name", ["detect", "sweep", "pipeline"])
 def test_benchmark_replica_matches_the_op(workloads, name, tmp_path):
     # A traced benchmark run rebuilds each op from the public calls its
     # command makes and requires the same output bytes; a shortcut taken

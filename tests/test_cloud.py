@@ -3,6 +3,7 @@ import gzip
 import io
 import lzma
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soilprobe.cloud import (
+    CSV_CHUNK_ROWS,
     PointCloud,
     WorkspaceBounds,
     load_cloud,
@@ -208,6 +210,70 @@ def test_rerendered_text_is_identical(tmp_path):
     save_cloud(load_cloud(first), second)
     assert first.read_text() == "0.1,0.2,0.3\n0.4,0.5,0.6\n"
     assert second.read_text() == first.read_text()
+
+
+def special_points():
+    # more rows than two chunks, the last one partial; every column holds
+    # NaN, +-inf and -0.0, next to values from 1e-12 to 1e12
+    rng = np.random.default_rng(20)
+    shape = (2 * CSV_CHUNK_ROWS + 37, 3)
+    points = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-12, 13, shape)
+    points[:8] = np.round(points[:8])
+    for col in range(3):
+        for value in (math.nan, math.inf, -math.inf, -0.0):
+            points[rng.integers(len(points), size=5), col] = value
+    return points
+
+
+def assert_same_rows(text, want, what):
+    # the first row that differs, rather than a diff of the whole text
+    rows = text.splitlines(keepends=True)
+    wrong = next((i for i, (a, b) in enumerate(zip(rows, want)) if a != b), None)
+    assert (len(rows), wrong) == (len(want), None), what
+
+
+def test_save_cloud_bytes_are_one_row_per_point(tmp_path):
+    points = special_points()
+    want = ["%.9g,%.9g,%.9g\n" % tuple(row) for row in points.tolist()]
+    assert all(any(token in row for row in want) for token in ("nan", "inf", "-inf", "-0,", ",-0\n"))
+    fortran = np.asfortranarray(points)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    for name, array in (("c", points), ("fortran", fortran)):
+        path = tmp_path / f"{name}.txt"
+        save_cloud(PointCloud(array), path)
+        assert_same_rows(path.read_text(), want, name)
+
+
+def test_save_cloud_streams_its_rows(tmp_path):
+    # each chunk goes to the file as it is rendered: the peak of Python
+    # allocations stays well below the size of the text
+    cloud = PointCloud(np.random.default_rng(0).uniform(-1.0, 1.0, (16 * CSV_CHUNK_ROWS, 3)))
+    path = tmp_path / "cloud.txt"
+    tracemalloc.start()
+    try:
+        save_cloud(cloud, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
+# the container each compressed suffix is written in: .lzma is an xz file
+CONTAINERS = {".gz": (b"\x1f\x8b", gzip.decompress), ".bz2": (b"BZh", bz2.decompress),
+              ".xz": (b"\xfd7zXZ\x00", lzma.decompress), ".lzma": (b"\xfd7zXZ\x00", lzma.decompress)}
+
+
+@pytest.mark.parametrize("suffix", CONTAINERS)
+def test_compressed_save_roundtrips(tmp_path, suffix):
+    magic, decompress = CONTAINERS[suffix]
+    cloud = PointCloud(special_points())
+    plain, packed = tmp_path / "cloud.txt", tmp_path / f"cloud.txt{suffix}"
+    save_cloud(cloud, plain)
+    save_cloud(cloud, packed)
+    data = packed.read_bytes()
+    assert data.startswith(magic)
+    assert_same_rows(decompress(data).decode(), plain.read_text().splitlines(keepends=True), suffix)
+    assert load_cloud(packed).points.tobytes() == load_cloud(plain).points.tobytes()
 
 
 def test_nan_survives_text_roundtrip(tmp_path):

@@ -10,6 +10,7 @@ from soilprobe.adaptation import (
     position_reference,
     stiffness_estimate,
 )
+from soilprobe.cloud import CSV_CHUNK_ROWS
 from soilprobe.contact import BLOCK, SensorState, environment_force, robot_step
 from soilprobe.impedance import (
     ImpedanceState,
@@ -18,7 +19,6 @@ from soilprobe.impedance import (
     steady_state_reference,
 )
 from soilprobe.scenario import (
-    CSV_CHUNK_ROWS,
     MAX_STEPS,
     SCENARIO_STIFFNESS,
     TRACE_COLUMNS,
