@@ -80,7 +80,8 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
         & (z < bounds.z_max)
     )
     idx = np.flatnonzero(keep)
-    return cloud.select(idx[_stable_order(z[idx])])
+    # take gathers rows faster than fancy indexing, with the same values
+    return PointCloud(cloud.points.take(idx[_stable_order(z[idx])], axis=0))
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
@@ -91,13 +92,17 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     sort of the unique keys `group * n + position` puts the groups in order
     and each group's positions in input order.  -0.0 and 0.0 share a group,
     as they tie in the stable sort.  NaN is unequal to itself, so each NaN
-    would get a group of its own and lose its input order.
+    would get a group of its own and lose its input order.  Without ties
+    there is one ascending order only, and the default sort has found it.
     """
     n = values.size
     order = np.argsort(values)
     ranked = values[order]
+    new_group = ranked[1:] != ranked[:-1]
+    if new_group.all():
+        return order
     group = np.zeros(n, dtype=np.int64)
-    np.cumsum(ranked[1:] != ranked[:-1], out=group[1:])
+    np.cumsum(new_group, out=group[1:])
     return np.sort(group * n + order) % n
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,39 +46,32 @@ def bin_bounds(z: np.ndarray, dz: float) -> np.ndarray:
         raise ValueError("no points to bin")
     if dz <= 0:
         raise ValueError("dz must be positive")
-    z_min = float(z[0])
-    n_bins = max(1, math.ceil((float(z[-1]) - z_min) / dz))
-    k = np.arange(1, n_bins)
-    # Bin k starts at the first point whose bin is k or more.  The nominal
-    # edge z_min + k dz finds it unless rounding puts a point beside that
-    # edge in the other bin; such bounds are searched again on the formula.
-    starts = np.searchsorted(z, z_min + k * dz)
-    wrong = ((starts < z.size) & (_bin_at(z, starts, z_min, dz) < k)) | (
-        (starts > 0) & (_bin_at(z, starts - 1, z_min, dz) >= k)
-    )
-    if wrong.any():
-        starts[wrong] = _first_in_bin(z, z_min, dz, k[wrong])
-    return np.concatenate(([0], starts, [z.size]))
+    return np.array(_bin_bounds(memoryview(np.ascontiguousarray(z, dtype=float)), 0, z.size, dz))
 
 
-def _bin_at(z: np.ndarray, pos: np.ndarray, z_min: float, dz: float) -> np.ndarray:
-    # floor((z - z_min) / dz) at each position: the bin of the point there,
-    # before the last bin's cap.  Callers mask out positions -1 and z.size,
-    # which read the last point here.
-    return np.floor((z[np.minimum(pos, z.size - 1)] - z_min) / dz)
+def _bin_bounds(z, lo: int, hi: int, dz: float) -> list[int]:
+    # bin_bounds of z[lo:hi], as positions in z.  z is a memoryview of
+    # ascending finite floats: its items are Python floats, so each bound
+    # costs a binary search and no numpy call, and the arithmetic is the
+    # IEEE arithmetic of searchsorted and np.floor.
+    z_min = z[lo]
+    n_bins = max(1, math.ceil((z[hi - 1] - z_min) / dz))
 
+    def bin_of(v: float) -> int:  # before the last bin's cap
+        return math.floor((v - z_min) / dz)
 
-def _first_in_bin(z: np.ndarray, z_min: float, dz: float, k: np.ndarray) -> np.ndarray:
-    # Bisection on positions, all bins at once: the bin formula is monotone
-    # in z, so the first point of bin k or above lies in [lo, hi].
-    lo = np.zeros(k.size, dtype=np.intp)
-    hi = np.full(k.size, z.size, dtype=np.intp)
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        above = _bin_at(z, mid, z_min, dz) >= k
-        hi = np.where(open_ & above, mid, hi)
-        lo = np.where(open_ & ~above, mid + 1, lo)
-    return lo
+    bounds = [lo]
+    for k in range(1, n_bins):
+        # Bin k starts at the first point whose bin is k or more.  The nominal
+        # edge z_min + k dz finds it unless rounding puts a point beside that
+        # edge in the other bin; such a bound is searched again on the formula,
+        # which is monotone in z.
+        i = bisect_left(z, z_min + k * dz, lo, hi)
+        if (i < hi and bin_of(z[i]) < k) or (i > lo and bin_of(z[i - 1]) >= k):
+            i = bisect_left(z, k, lo, hi, key=bin_of)
+        bounds.append(i)
+    bounds.append(hi)
+    return bounds
 
 
 def score_bin(prev_count: int, cur_count: int, next_count: int) -> float:
@@ -108,23 +102,25 @@ def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
     # the bin's range is its first and last value, and the kept points are
     # one contiguous range, found by two binary searches.
     # One contiguous copy: a cloud's z is a strided column, which the check
-    # reads slowly and searchsorted would copy on every pass.
+    # reads slowly and a memoryview cannot wrap.
     z = np.ascontiguousarray(z)
+    if z.size == 0:
+        raise ValueError("no points to bin")
     if z.size > 1 and not (z[1:] >= z[:-1]).all():
         if not np.isfinite(z).all():
             raise ValueError("band refinement needs finite z values")
         raise ValueError("band refinement needs the points sorted by ascending z")
-    if z.size and not (math.isfinite(z[0]) and math.isfinite(z[-1])):
+    if not (math.isfinite(z[0]) and math.isfinite(z[-1])):
         raise ValueError("band refinement needs finite z values")
-    lo, hi = 0, z.size
+    z = memoryview(z)
+    lo, hi = 0, len(z)
     passes = []
     for dz in BAND_WIDTHS:
-        band = z[lo:hi]
-        bounds = bin_bounds(band, dz).tolist()
+        bounds = _bin_bounds(z, lo, hi, dz)
         best = _best_bin([b - a for a, b in zip(bounds, bounds[1:])])
-        z_lo = float(band[bounds[best]]) - dz / 2.0
-        z_hi = float(band[bounds[best + 1] - 1]) + dz / 2.0
-        lo, hi = lo + int(band.searchsorted(z_lo, "right")), lo + int(band.searchsorted(z_hi, "left"))
+        z_lo = z[bounds[best]] - dz / 2.0
+        z_hi = z[bounds[best + 1] - 1] + dz / 2.0
+        lo, hi = bisect_right(z, z_lo, lo, hi), bisect_left(z, z_hi, lo, hi)
         passes.append((lo, hi))
     return passes
 
@@ -315,6 +311,28 @@ class GroundEstimate:
         return float(-(self.plane.d + n[0] * x + n[1] * y) / n[2])
 
 
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    # np.median(rows, axis=1), bit for bit, from one partition at the upper
+    # middle: for an even count the lower middle is the largest value below
+    # it, and np.median's mean of the pair is (lower + upper) / 2.  A row with
+    # NaN, or whose middle is a zero, takes np.median itself: which of -0.0
+    # and 0.0 a selection puts in the middle depends on its kth values, and
+    # np.median selects at three.
+    m = rows.shape[1]
+    h = m // 2
+    part = np.partition(rows, h, axis=1)
+    upper = part[:, h]
+    if m % 2:
+        med, zero = upper, upper == 0
+    else:
+        lower = part[:, :h].max(axis=1)
+        med, zero = (lower + upper) / 2, (lower == 0) | (upper == 0)
+    slow = zero | np.isnan(rows).any(axis=1)
+    if slow.any():
+        med[slow] = np.median(rows[slow], axis=1)
+    return med
+
+
 def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstimate:
     """Derive the probe target points from a fitted plane's inliers.
 
@@ -326,7 +344,7 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
         raise ValueError("plane has no inliers")
     # a (3, m) gather: each coordinate's inliers contiguous, for the median
     inl = cloud.points.T.take(plane.inlier_indices, axis=1)
-    center = Point3(*np.median(inl, axis=1).tolist())
+    center = Point3(*_row_medians(inl).tolist())
     near = Point3(center.x, float(inl[1].min()), center.z)
     approach = Point3(near.x, near.y + APPROACH_OFFSET_Y, near.z)
     return GroundEstimate(plane, center, near, approach)

@@ -4,13 +4,14 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from soilprobe import cli
 from soilprobe.cli import DETECT_TYPES, PIPELINE_TYPES, main
-from soilprobe.cloud import save_cloud
+from soilprobe.cloud import PointCloud, save_cloud
 from soilprobe.config import SCENARIO_TYPES
 from soilprobe.scenario import MAX_STEPS, ScenarioConfig
 from soilprobe.scene import generate_pot_scene
@@ -263,6 +264,28 @@ def test_unreadable_input_exits_2_with_its_reason(tmp_path, capsys):
     cut.write_bytes(lzma.compress(b"0.1,0.2,0.3\n")[:-8])
     assert run("detect", "--input", str(cut)) == 2
     assert capsys.readouterr().err.startswith(f"error: {cut}: Compressed file ended")
+
+
+def write_cloud_outside_the_workspace(path, kind):
+    if kind == "empty":
+        path.write_text("")
+    elif kind == "all_nan":
+        save_cloud(PointCloud(np.full((50, 3), np.nan)), path)
+    else:  # a default scene moved 1 m along x, beyond the box
+        save_cloud(PointCloud(generate_pot_scene(seed=0)[0].points + [1.0, 0.0, 0.0]), path)
+
+
+@pytest.mark.parametrize("kind", ["empty", "all_nan", "shifted"])
+@pytest.mark.parametrize("command", ["detect", "pipeline"])
+def test_input_without_workspace_points_exits_2(tmp_path, capsys, command, kind):
+    cloud = tmp_path / "cloud.txt"
+    write_cloud_outside_the_workspace(cloud, kind)
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if command == "pipeline" else ["--out", str(out)]
+    assert run(command, "--input", str(cloud), *target) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no points inside the workspace bounds"]
+    assert not out.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -549,6 +549,48 @@ def test_extract_invariants_on_random_inliers():
     assert est.approach.z == est.near_point.z
 
 
+def center_and_np_median(rows):
+    # extract_ground_estimate's center of a cloud whose x, y and z are the
+    # three rows, and np.median(rows, axis=1), each as bytes
+    rows = np.asarray(rows, dtype=float)
+    plane = PlaneModel(np.array([0.0, 0.0, 1.0]), 0.0, np.arange(rows.shape[1]))
+    c = extract_ground_estimate(plane, PointCloud(rows.T)).center
+    return np.array([c.x, c.y, c.z]).tobytes(), np.median(rows, axis=1).tobytes()
+
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=arrays(float, st.tuples(st.just(3), st.integers(1, 64)),
+                   elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())))
+@example(rows=np.array([[3.0, 1.0, 2.0], [5.0, 4.0, 6.0], [0.5, -0.5, 0.25]]))  # odd count
+@example(rows=np.array([[4.0, 1.0, 3.0, 2.0], [1.0, 2.0, 8.0, 4.0], [-1.0, -3.0, 0.5, 2.0]]))  # even
+# middle pairs of -0.0 and 0.0, in both orders
+@example(rows=np.array([[-0.0, 0.0, -1.0, 1.0], [0.0, -0.0, -1.0, 1.0], [-0.0, -0.0, 1.0, -1.0]]))
+# a zero middle in an odd row, beside rows without one
+@example(rows=np.array([[0.0, -0.0, 0.0, 1.0, -1.0], [-0.0, 0.0, -0.0, 2.0, -2.0], [1.0, 2.0, 3.0, 4.0, 5.0]]))
+@example(rows=np.array([[1.0, np.nan, 2.0], [1.0, 2.0, 3.0], [np.nan, np.nan, 0.0]]))  # NaN rows
+def test_center_is_the_median_bit_for_bit(rows):
+    got, want = center_and_np_median(rows)
+    assert got == want
+
+
+def quantized_scene(seed):
+    # a default scene at 1 mm steps, as a depth camera quantizes: z has ties
+    return PointCloud(np.round(generate_pot_scene(seed=seed)[0].points, 3))
+
+
+def test_quantized_scene_center_keeps_the_sign_of_zero():
+    # Seed 80: the inliers' median x is a zero.  One selection at the middle
+    # puts -0.0 there, where np.median puts 0.0, and the record read g_c=-0.
+    est = detect_ground(quantized_scene(80), scene_bounds(), seed=80)
+    assert estimate_to_text(est).splitlines()[2] == "g_c=0,-0.004,0.1"
+    band = refine_ground_band(workspace_filter(quantized_scene(80), scene_bounds()))
+    got, want = center_and_np_median(band.points[est.plane.inlier_indices].T)
+    assert got == want
+
+
 def test_extract_zero_inliers_errors():
     plane = PlaneModel(np.array([0.0, 0.0, 1.0]), 0.0, np.array([], dtype=int))
     with pytest.raises(ValueError):
@@ -634,6 +676,9 @@ DEPTH_DIGEST = "f3db5800ae29585da6d6a1b51289caddec90057b68b12426e00261f3518ef4e0
 # through save_cloud/load_cloud
 DENSE_ESTIMATE_DIGEST = "9ffdba46795b35ff8d6a40bcb72bb53d944746d8ad2c42c4bb61fe523cd0604d"
 DENSE_DEPTH = "-0x1.993de6856e49dp-4"
+# sha256 of each estimate's text and its depth's float.hex() (as above), one
+# scene after the other, for s = 0..99 of quantized_scene(s)
+QUANTIZED_DIGEST = "de1da53cf9b1d0d208c7e38d9384e5c514cba4ef2830774849623854f89e37a6"
 
 
 def sha256(text):
@@ -662,3 +707,13 @@ def test_dense_cloud_estimate_bytes_are_pinned(tmp_path):
     est = detect_ground(cloud, scene_bounds(), seed=100)
     assert sha256(estimate_to_text(est)) == DENSE_ESTIMATE_DIGEST
     assert float.hex(-est.z_at(est.approach.x, est.approach.y)) == DENSE_DEPTH
+
+
+def test_quantized_estimate_bytes_are_pinned():
+    # Tied z takes the crop's grouped stable order, and zero medians the
+    # center's np.median path; the continuous scenes above reach neither.
+    records = []
+    for s in range(100):
+        est = detect_ground(quantized_scene(s), scene_bounds(), seed=s)
+        records.append(estimate_to_text(est) + float.hex(-est.z_at(est.approach.x, est.approach.y)) + "\n")
+    assert sha256("".join(records)) == QUANTIZED_DIGEST
