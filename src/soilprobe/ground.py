@@ -17,6 +17,8 @@ APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot cen
 RANSAC_CONFIDENCE = 0.999  # chance that some hypothesis drew 3 inliers
 RANSAC_MAX_DRAWS = 500  # hard cap on the triples drawn
 LOCAL_REFIT_ROUNDS = 5  # least-squares refits after the first, while the inliers grow
+DRAW_BLOCK = 16  # triples drawn and scored together
+SCORE_POINTS = 512  # hypotheses are scored on an even stride of at most this many points
 
 # Bin width of each band-refinement pass, largest first: 7 cm, a quarter
 # narrower per pass, down to the last width of at least 1 cm.  Each width is
@@ -39,39 +41,58 @@ def bin_bounds(z: np.ndarray, dz: float) -> np.ndarray:
     Bins are anchored at the minimum z; the last bin may be shorter.  A point
     falls in bin min(floor((z - z_min) / dz), n_bins - 1).  Returns the
     n_bins + 1 bin bounds: bin k holds z[bounds[k]:bounds[k + 1]], lowest z
-    first.  Each bound is found by binary search, so the cost grows with the
-    bin count and the log of the point count, not with the point count.
+    first.  Each occupied bin's bounds are found by binary search, so the
+    search costs grow with the occupied bin count and the log of the point
+    count, not with the point count.
     """
     if z.size == 0:
         raise ValueError("no points to bin")
     if dz <= 0:
         raise ValueError("dz must be positive")
-    return np.array(_bin_bounds(memoryview(np.ascontiguousarray(z, dtype=float)), 0, z.size, dz))
+    z = memoryview(np.ascontiguousarray(z, dtype=float))
+    firsts, bounds = _collapsed_bin_bounds(z, 0, len(z), dz)
+    # bin k starts where the entry holding it does
+    return np.array(bounds)[np.searchsorted(firsts, np.arange(firsts[-1] + 1), side="right") - 1]
 
 
-def _bin_bounds(z, lo: int, hi: int, dz: float) -> list[int]:
-    # bin_bounds of z[lo:hi], as positions in z.  z is a memoryview of
-    # ascending finite floats: its items are Python floats, so each bound
-    # costs a binary search and no numpy call, and the arithmetic is the
-    # IEEE arithmetic of searchsorted and np.floor.
+def _collapsed_bin_bounds(z, lo: int, hi: int, dz: float) -> tuple[list[int], list[int]]:
+    # The bin bounds of z[lo:hi], as positions in z, with each run of empty
+    # bins collapsed into one empty entry: entry j holds z[bounds[j]:bounds[j
+    # + 1]] and starts at bin firsts[j]; the last entries are the bin count
+    # and hi.  An empty entry scores 0 as any empty bin does, and the scores
+    # of the occupied bins are unchanged, since an empty neighbor counts 0
+    # either way.  Empty bins cost nothing, so one far outlier adds two
+    # entries, not one bin per bin width of its distance.  z is a memoryview
+    # of ascending finite floats: its items are Python floats, so each bound
+    # costs a binary search and no numpy call, and the arithmetic is the IEEE
+    # arithmetic of searchsorted and np.floor.
     z_min = z[lo]
     n_bins = max(1, math.ceil((z[hi - 1] - z_min) / dz))
 
-    def bin_of(v: float) -> int:  # before the last bin's cap
-        return math.floor((v - z_min) / dz)
+    def bin_of(v: float) -> int:
+        return min(math.floor((v - z_min) / dz), n_bins - 1)
 
-    bounds = [lo]
-    for k in range(1, n_bins):
-        # Bin k starts at the first point whose bin is k or more.  The nominal
-        # edge z_min + k dz finds it unless rounding puts a point beside that
-        # edge in the other bin; such a bound is searched again on the formula,
-        # which is monotone in z.
-        i = bisect_left(z, z_min + k * dz, lo, hi)
-        if (i < hi and bin_of(z[i]) < k) or (i > lo and bin_of(z[i - 1]) >= k):
-            i = bisect_left(z, k, lo, hi, key=bin_of)
+    firsts, bounds = [0], [lo]
+    k, start = 0, lo
+    while k < n_bins - 1:
+        # The next occupied bin starts at the first point whose bin is above
+        # k; the highest point is in the last bin, so there is one.  The
+        # nominal edge z_min + (k + 1) dz finds it unless rounding puts a point
+        # beside that edge in the other bin; such a bound is searched again on
+        # the formula, which is monotone in z.
+        i = bisect_left(z, z_min + (k + 1) * dz, start, hi)
+        if i == hi or (next_k := bin_of(z[i])) <= k or bin_of(z[i - 1]) > k:
+            i = bisect_left(z, k + 1, start, hi, key=bin_of)
+            next_k = bin_of(z[i])
+        if next_k > k + 1:  # bins k + 1 to next_k - 1 are empty
+            firsts.append(k + 1)
+            bounds.append(i)
+        firsts.append(next_k)
         bounds.append(i)
+        k, start = next_k, i
+    firsts.append(n_bins)
     bounds.append(hi)
-    return bounds
+    return firsts, bounds
 
 
 def score_bin(prev_count: int, cur_count: int, next_count: int) -> float:
@@ -116,7 +137,9 @@ def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
     lo, hi = 0, len(z)
     passes = []
     for dz in BAND_WIDTHS:
-        bounds = _bin_bounds(z, lo, hi, dz)
+        # the best bin is an occupied one: the lowest bin scores above 0,
+        # since its missing lower neighbor counts 0, and an empty bin scores 0
+        _, bounds = _collapsed_bin_bounds(z, lo, hi, dz)
         best = _best_bin([b - a for a, b in zip(bounds, bounds[1:])])
         z_lo = z[bounds[best]] - dz / 2.0
         z_hi = z[bounds[best + 1] - 1] + dz / 2.0
@@ -173,28 +196,36 @@ def _canonical_sign(normal: np.ndarray) -> np.ndarray:
     return normal
 
 
-def _least_squares_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    cov = centered.T @ centered
-    _, vecs = np.linalg.eigh(cov)
-    normal = _canonical_sign(vecs[:, 0])  # eigenvector of the smallest eigenvalue
-    normal = normal / np.linalg.norm(normal)
-    return normal, float(-normal @ centroid)
+# Where each entry of the 3x3 second-moment matrix sits among the moments
+# x, y, z, xx, xy, xz, yy, yz, zz that _refit sums.
+_SECOND_MOMENTS = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
 
 
-def _refit_inliers(rel: np.ndarray, inliers: np.ndarray, m: int, threshold: float) -> np.ndarray:
-    # The points within the threshold of the least-squares plane of the m
-    # points where `inliers` holds.  `rel` holds every point, as (3, N)
-    # offsets from one of them; the plane comes from the inliers' weighted
-    # moments of it, so the inlier set is never gathered.
-    w = inliers.astype(float)
-    centroid = rel @ w / m
-    scatter = (rel * w) @ rel.T - m * np.outer(centroid, centroid)
+def _refit(mom: np.ndarray, inliers: np.ndarray, m: int, threshold: float, scratch: np.ndarray):
+    # The least-squares plane of the m points where `inliers` holds, as its
+    # unit normal and centroid, and the mask of the points within the
+    # threshold of it.  Rows 0-2 of the (9, N) `mom` hold every point's offset
+    # from one inlier and rows 3-8 the offsets' products xx, xy, xz, yy, yz,
+    # zz, so one product with the inlier weights sums the set's first and
+    # second moments, and the set is never gathered.  The (N,) `scratch`
+    # holds the weights, then the residuals.
+    np.copyto(scratch, inliers)
+    moments = mom @ scratch
+    centroid = moments[:3] / m
+    scatter = moments[_SECOND_MOMENTS] - m * np.outer(centroid, centroid)
     _, vecs = np.linalg.eigh(scatter)
     normal = _canonical_sign(vecs[:, 0])  # eigenvector of the smallest eigenvalue
     normal = normal / np.linalg.norm(normal)
-    return np.abs(normal @ rel - normal @ centroid) < threshold
+    return normal, centroid, _within(normal, mom[:3], normal @ centroid, threshold, scratch)
+
+
+def _within(normal: np.ndarray, xyz: np.ndarray, offset: float, threshold: float,
+            scratch: np.ndarray) -> np.ndarray:
+    # The mask of the points of the (3, N) xyz within the threshold of the
+    # plane normal.p = offset, by way of the (N,) scratch.
+    np.matmul(normal, xyz, out=scratch)
+    scratch -= offset
+    return np.abs(scratch, out=scratch) < threshold
 
 
 def _hypotheses_needed(count: int, n: int) -> int:
@@ -206,91 +237,124 @@ def _hypotheses_needed(count: int, n: int) -> int:
     return math.ceil(math.log1p(-RANSAC_CONFIDENCE) / math.log1p(-all_inliers))
 
 
-def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0) -> PlaneModel:
-    """Consensus plane fit: sample point triples, keep the largest inlier set,
-    then refit that set by least squares.
-
-    Sampling stops once N = ceil(log(1 - p) / log(1 - w^3)) triples have been
-    drawn, where w is the best inlier share so far and p = RANSAC_CONFIDENCE,
-    or after RANSAC_MAX_DRAWS triples, whichever comes first.  The refit
-    repeats, up to LOCAL_REFIT_ROUNDS more times, while its inlier set grows
-    (LO-RANSAC, Chum, Matas & Kittler 2003).
-
-    The fit works on one contiguous (3, N) copy of the valid points.  Each
-    refit takes its plane from the inlier-weighted first and second moments
-    of that copy about one inlier, so no round gathers the inlier set.  The
-    reported plane is the least-squares plane of the set that chose the
-    final inliers, computed once from its gathered rows.
-
-    Deterministic for a fixed seed.  Raises ValueError when no valid plane
-    can be found (fewer than 3 points, or every sampled triple collinear).
-    """
-    # a copy even of an F-ordered cloud, since it becomes offsets in place below
-    cols = np.array(cloud.points.T, order="C")
-    valid_idx = np.flatnonzero(np.isfinite(cols).all(axis=0))
-    if valid_idx.size < cols.shape[1]:  # else there is nothing to drop: skip the copy
-        cols = cols.take(valid_idx, axis=1)
-    n = cols.shape[1]
-    if n < 3:
-        raise ValueError("plane fit failed: need at least 3 valid points")
-    rng = np.random.default_rng(seed)
-    scale = float(np.linalg.norm(cols.max(axis=1) - cols.min(axis=1))) or 1.0
-
+def _best_hypothesis(xyz: np.ndarray, threshold: float, rng: np.random.Generator):
+    # The plane (unit normal, offset n.p) through the best of the triples
+    # drawn from the points of the (3, n) array xyz, or None when every triple
+    # was degenerate, and the number of triples drawn.  Each block of triples
+    # comes from one uniform draw with replacement; a triple that repeats a
+    # point has a zero normal and counts as degenerate, as a collinear one
+    # does.  Hypotheses are scored on an even stride of at most SCORE_POINTS
+    # points (R-RANSAC, Chum & Matas 2002), all of them when n is at most
+    # that.  The block is walked in draw order: a strictly larger count
+    # replaces the best and sets the number of triples needed, and the walk
+    # stops as soon as that many have been drawn.
+    n = xyz.shape[1]
+    sample = np.ascontiguousarray(xyz[:, :: -(-n // SCORE_POINTS)])
+    s = sample.shape[1]
+    scale = float(np.linalg.norm(xyz.max(axis=1) - xyz.min(axis=1))) or 1.0
     best_count = 0
-    best_inliers = None
+    best = None
     needed = RANSAC_MAX_DRAWS
     drawn = 0
     while drawn < needed:
-        drawn += 1
-        triple = rng.choice(n, size=3, replace=False)
-        (xi, xj, xk), (yi, yj, yk), (zi, zj, zk) = cols[:, triple].tolist()
+        block = min(needed - drawn, DRAW_BLOCK)
+        (xi, xj, xk), (yi, yj, yk), (zi, zj, zk) = xyz[:, rng.integers(0, n, size=(block, 3)).T]
         # np.cross(p_j - p_i, p_k - p_i), in its operand order
         ax, ay, az = xj - xi, yj - yi, zj - zi
         bx, by, bz = xk - xi, yk - yi, zk - zi
         nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if norm < 1e-12 * scale * scale:
-            continue  # collinear sample
-        nx, ny, nz = nx / norm, ny / norm, nz / norm
-        inliers = np.abs(np.array((nx, ny, nz)) @ cols - (nx * xi + ny * yi + nz * zi)) < threshold
-        count = np.count_nonzero(inliers)
-        if count > best_count:
-            best_count = count
-            best_inliers = inliers
-            needed = min(RANSAC_MAX_DRAWS, _hypotheses_needed(count, n))
+        norm = np.sqrt(nx * nx + ny * ny + nz * nz)
+        kept = np.flatnonzero(norm >= 1e-12 * scale * scale)  # drop degenerate triples
+        normals = np.array((nx[kept], ny[kept], nz[kept])) / norm[kept]
+        offsets = normals[0] * xi[kept] + normals[1] * yi[kept] + normals[2] * zi[kept]
+        counts = np.count_nonzero(np.abs(normals.T @ sample - offsets[:, None]) < threshold, axis=1)
+        for j, (t, count) in enumerate(zip(kept.tolist(), counts.tolist())):
+            if count > best_count:
+                best_count = count
+                best = normals[:, j], float(offsets[j])
+                needed = min(RANSAC_MAX_DRAWS, _hypotheses_needed(count, s))
+                if drawn + t + 1 >= needed:
+                    block = t + 1  # the rest of the block goes unused
+                    break
+        drawn += block
+    return best, drawn
 
-    if best_inliers is None or best_count < 3:
+
+def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0) -> PlaneModel:
+    """Consensus plane fit: sample point triples, keep the one whose plane
+    holds the most points, then refit its inliers by least squares.
+
+    Triples are drawn DRAW_BLOCK at a time, uniformly, and each hypothesis is
+    scored on an even stride of at most SCORE_POINTS of the points.
+    Sampling stops once N = ceil(log(1 - p) / log(1 - w^3)) triples have been
+    drawn, where w is the best inlier share of that sample so far and p =
+    RANSAC_CONFIDENCE, or after RANSAC_MAX_DRAWS triples, whichever comes
+    first.  The winner's inliers are then taken among all points, and the
+    refit repeats, up to LOCAL_REFIT_ROUNDS more times, while its inlier set
+    grows (LO-RANSAC, Chum, Matas & Kittler 2003).
+
+    The fit works on one (9, N) array of the valid points, their offsets
+    from one inlier and the offsets' six products, and one (N,) scratch row.
+    Each refit takes its plane from the inlier-weighted moments of that
+    array, so no round gathers the inlier set.  The reported plane is the refit plane of the
+    set that chose the final inliers.
+
+    Deterministic for a fixed seed.  Raises ValueError when no valid plane
+    can be found (fewer than 3 points, or every sampled triple degenerate).
+    """
+    mom = np.empty((9, len(cloud.points)))
+    xyz = mom[:3]
+    xyz[...] = cloud.points.T
+    finite = np.isfinite(xyz).all(axis=0)
+    valid_idx = None  # every point is valid
+    if not finite.all():
+        valid_idx = np.flatnonzero(finite)
+        mom = np.empty((9, valid_idx.size))
+        xyz = xyz.take(valid_idx, axis=1, out=mom[:3])
+    if xyz.shape[1] < 3:
+        raise ValueError("plane fit failed: need at least 3 valid points")
+    best, _ = _best_hypothesis(xyz, threshold, np.random.default_rng(seed))
+    if best is None:
+        raise ValueError("plane fit failed: no plane consensus found")
+    normal, offset = best
+    scratch = np.empty(xyz.shape[1])  # a refit's weights, then its residuals
+    fitted = _within(normal, xyz, offset, threshold, scratch)
+    count = np.count_nonzero(fitted)
+    if count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
 
-    rel = cols  # from here on only offsets from the first inlier are needed
-    rel -= rel[:, [np.argmax(best_inliers)]]
+    # from here on rows 0-2 hold offsets from the first inlier
+    origin = xyz[:, np.argmax(fitted)].copy()
+    xyz -= origin[:, None]
+    for row, (a, b) in enumerate(itertools.combinations_with_replacement(xyz, 2), start=3):
+        np.multiply(a, b, out=mom[row])
     # Keep the points within the threshold of the refit plane L.  At least 3
-    # remain: the winning sample plane S has residual 0 on its 3 points and
-    # below t on its other m-3 inliers, so sum r_S^2 < (m-3) t^2, and least
-    # squares gives sum r_L^2 <= sum r_S^2; were fewer than 3 inliers within t
-    # of L, at least m-2 would lie at t or beyond, so sum r_L^2 >= (m-2) t^2.
+    # remain: the winning triple's plane S has residual 0 on its own 3 points,
+    # which are among the m points of `fitted`, and below t on the other m-3,
+    # so sum r_S^2 < (m-3) t^2 over that set, and least squares gives
+    # sum r_L^2 <= sum r_S^2; were fewer than 3 of the set within t of L, at
+    # least m-2 would lie at t or beyond, so sum r_L^2 >= (m-2) t^2.
     # Only rounding can break it, and only at t near the rounding of the
     # coordinates themselves (1e-16 of their distance from the origin, so
     # 1e-13 at 1e3 m): the moments are summed about an inlier, so their own
     # rounding scales with the inliers' spread, not with that distance.
-    fitted = best_inliers
-    final = _refit_inliers(rel, fitted, best_count, threshold)
+    normal, centroid, final = _refit(mom, fitted, count, threshold, scratch)
     count = np.count_nonzero(final)
     if count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
     # Local refit: only a strictly larger inlier set replaces the current one,
     # so the 3 kept above stay a lower bound.
     for _ in range(LOCAL_REFIT_ROUNDS):
-        grown = _refit_inliers(rel, final, count, threshold)
+        grown_normal, grown_centroid, grown = _refit(mom, final, count, threshold, scratch)
         grown_count = np.count_nonzero(grown)
         if grown_count <= count:
             break
-        fitted, final, count = final, grown, grown_count
-    del rel, cols  # release the (3, N) copy before the gather below
-    # Report the least-squares plane of the set that chose `final`, taken
-    # about that set's own centroid, which rounds least.
-    normal, d = _least_squares_plane(cloud.points.take(valid_idx[fitted], axis=0))
-    return PlaneModel(normal, d, valid_idx[final])
+        normal, centroid, final, count = grown_normal, grown_centroid, grown, grown_count
+    # the plane that chose `final` passes through origin + centroid
+    d = -(float(normal @ centroid) + float(normal @ origin))
+    del mom, xyz, scratch  # release the (9, N) array before the index array is made
+    inliers = np.flatnonzero(final)
+    return PlaneModel(normal, d, inliers if valid_idx is None else valid_idx[inliers])
 
 
 @dataclass(frozen=True)
