@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -153,6 +154,9 @@ def _repeat_count(text: str) -> int:
     return count
 
 
+# built once per process: parsing leaves the parser unchanged, and building
+# it costs more than a short command's own work
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="soilprobe", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

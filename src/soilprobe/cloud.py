@@ -87,23 +87,30 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
 def _stable_order(values: np.ndarray) -> np.ndarray:
     """np.argsort(values, kind="stable"), faster, for values without NaN.
 
-    The default sort orders the values but may reorder ties; numbering the
-    runs of equal values then gives each position a tie-group id, and one
-    sort of the unique keys `group * n + position` puts the groups in order
-    and each group's positions in input order.  -0.0 and 0.0 share a group,
-    as they tie in the stable sort.  NaN is unequal to itself, so each NaN
-    would get a group of its own and lose its input order.  Without ties
-    there is one ascending order only, and the default sort has found it.
+    The default sort orders the values but may reorder ties, so only the
+    members of runs of equal values are sorted again: numbering those runs
+    gives each member a tie-group id, and one sort of the unique keys
+    `group * n + position` keeps the runs where they are and puts each
+    run's positions in input order.  -0.0 and 0.0 share a run, as they tie
+    in the stable sort.  NaN is unequal to itself, so each NaN would get a
+    run of its own and lose its input order.  Without ties there is one
+    ascending order only, and the default sort has found it.
     """
     n = values.size
     order = np.argsort(values)
     ranked = values[order]
-    new_group = ranked[1:] != ranked[:-1]
-    if new_group.all():
+    tie = ranked[1:] == ranked[:-1]
+    if not tie.any():
         return order
-    group = np.zeros(n, dtype=np.int64)
-    np.cumsum(new_group, out=group[1:])
-    return np.sort(group * n + order) % n
+    member = np.zeros(n, dtype=bool)
+    member[1:] = tie
+    member[:-1] |= tie
+    tied = np.flatnonzero(member)
+    tied_values = ranked[tied]
+    group = np.zeros(tied.size, dtype=np.int64)
+    np.cumsum(tied_values[1:] != tied_values[:-1], out=group[1:])
+    order[tied] = np.sort(group * n + order[tied]) % n
+    return order
 
 
 # Text format: one `x,y,z` triple per line, each value as %.9g; `#` starts

@@ -35,27 +35,9 @@ class Point3:
     z: float
 
 
-def bin_bounds(z: np.ndarray, dz: float) -> np.ndarray:
-    """Split ascending, finite z values into contiguous bins of width dz.
-
-    Bins are anchored at the minimum z; the last bin may be shorter.  A point
-    falls in bin min(floor((z - z_min) / dz), n_bins - 1).  Returns the
-    n_bins + 1 bin bounds: bin k holds z[bounds[k]:bounds[k + 1]], lowest z
-    first.  Each occupied bin's bounds are found by binary search, so the
-    search costs grow with the occupied bin count and the log of the point
-    count, not with the point count.
-    """
-    if z.size == 0:
-        raise ValueError("no points to bin")
-    if dz <= 0:
-        raise ValueError("dz must be positive")
-    z = memoryview(np.ascontiguousarray(z, dtype=float))
-    firsts, bounds = _collapsed_bin_bounds(z, 0, len(z), dz)
-    # bin k starts where the entry holding it does
-    return np.array(bounds)[np.searchsorted(firsts, np.arange(firsts[-1] + 1), side="right") - 1]
-
-
 def _collapsed_bin_bounds(z, lo: int, hi: int, dz: float) -> tuple[list[int], list[int]]:
+    # Bins of width dz anchored at z[lo], the last one maybe shorter: a
+    # point falls in bin min(floor((z - z[lo]) / dz), n_bins - 1).
     # The bin bounds of z[lo:hi], as positions in z, with each run of empty
     # bins collapsed into one empty entry: entry j holds z[bounds[j]:bounds[j
     # + 1]] and starts at bin firsts[j]; the last entries are the bin count

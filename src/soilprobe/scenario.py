@@ -21,8 +21,11 @@ SCENARIO_KINDS = (*SCENARIO_STIFFNESS, "custom")
 
 TRACE_COLUMNS = ("t", "x_r", "x_c", "x", "f_true", "f_meas", "e", "kappa", "stiffness_est")
 RUN_METRICS = ("kappa_final", "settling_time", "steady_state_error", "peak_force")
-# One trace row: the TRACE_COLUMNS values of one step as native doubles.
-_TRACE_ROW = struct.Struct(f"{len(TRACE_COLUMNS)}d")
+# The trace columns the step loop carries from step to step; run_scenario
+# computes the others from them after the loop.
+_LOOP_COLUMNS = ("x_r", "x_c", "x", "f_meas", "e", "kappa")
+# One loop row: the _LOOP_COLUMNS values of one step as native doubles.
+_LOOP_ROW = struct.Struct(f"{len(_LOOP_COLUMNS)}d")
 # The most steps a run may take, floor(duration / dt) + 1.  A run holds its
 # whole trace, 72 bytes a step, and on a noisy sensor its noise, 64 more.
 MAX_STEPS = 10**7
@@ -231,13 +234,17 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     Divergence of either the filter or the adaptation law truncates the
     trace and sets the failure flag; it never raises.
 
-    The loop calls no step function or sensor method: the run's sensor
-    noise comes from one SensorState.noise call before it, and the math of
-    environment_force, adaptation_step, position_reference,
-    stiffness_estimate, impedance_step and robot_step is written out on
-    local floats in their operand order.  The tests hold every trace
-    column equal, bit for bit, to a loop that calls those functions and
-    SensorState.read.
+    Each phase is its own loop over the step index: the approach loop
+    (skipped under fixed_reference) ends after the handover step's row and
+    filter update, and the force loop runs from the next step on.  The
+    loops call no step function or sensor method: the run's sensor noise
+    comes from one SensorState.noise call before them, and the math of
+    environment_force, adaptation_step, position_reference, impedance_step
+    and robot_step is written out on local floats in their operand order.
+    A step records only the values the loop carries, _LOOP_COLUMNS; t,
+    f_true and stiffness_est are computed from them after the loop by the
+    same IEEE operations.  The tests hold every trace column equal, bit
+    for bit, to a loop that calls those functions and SensorState.read.
     """
     n = int(math.floor(cfg.duration / cfg.dt)) + 1
     dt = cfg.dt
@@ -258,53 +265,40 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     lagged = cfg.tracking_tau != 0.0
     lag = 1.0 - math.exp(-dt / cfg.tracking_tau) if lagged else 0.0
     adapting = not cfg.fixed_reference
-    isfinite, inf, floor = math.isfinite, math.inf, COMPLIANCE_FLOOR
+    isfinite = math.isfinite
 
     x = x_c = x_ref = surface - cfg.approach_height
     v_c = ref_rate = 0.0
     kappa = kappa_rate = kappa_accel = error_lp = q_lp = 0.0
-    in_force_phase = cfg.fixed_reference
-    if cfg.fixed_reference:
-        x_ref = steady_state_reference(setpoint, k_env, surface)
-
-    tare_sum, tare_count, tare = 0.0, 0, 0.0
-    # One _TRACE_ROW per step, packed in place: sized once for the whole run,
+    tare = 0.0
+    # One _LOOP_ROW per step, packed in place: sized once for the whole run,
     # the buffer is never grown or copied, and a step builds no row tuple.
-    rows = bytearray(_TRACE_ROW.size * n)
-    pack, row_size = _TRACE_ROW.pack_into, _TRACE_ROW.size
+    rows = bytearray(_LOOP_ROW.size * n)
+    pack, row_size = _LOOP_ROW.pack_into, _LOOP_ROW.size
+    last = n - 1
     reason = ""
     # x can turn non-finite only at the start or through the robot lag
     if not isfinite(x):
         raise ValueError("probe position must be finite")
-    for i in range(n):
-        depth = x - surface_true
-        f_true = k_env * depth if depth > 0.0 else 0.0
-        f_meas = f_true + bias[i] + white[i] if noisy else f_true
-
-        if in_force_phase:
-            e = setpoint - (f_meas - tare)
-            e_ctrl = e
-            if adapting:
-                error_lp = error_lp + lp_gain * (e - error_lp)
-                e_rate = (e - error_lp) / tau
-                q = error_weight * e + error_rate_weight * e_rate
-                q_lp = q_lp + lp_gain * (q - q_lp)
-                q_rate = (q - q_lp) / tau
-                drive = drive_gain * q + drive_rate_gain * q_rate
-                jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
-                kappa_accel = kappa_accel + dt * jerk
-                kappa_rate = kappa_rate + dt * kappa_accel
-                kappa = kappa + dt * kappa_rate
-                if kappa < 0.0:
-                    kappa = 0.0
-                if not (isfinite(kappa) and isfinite(kappa_rate) and isfinite(kappa_accel)
-                        and isfinite(error_lp) and isfinite(q_lp)):
-                    reason = "adaptation diverged"
-                    del rows[i * row_size:]  # keep the steps recorded before this one
-                    break
-                x_ref = kappa * setpoint + surface
-                ref_rate = kappa_rate * setpoint
-        else:
+    # The divergence guards test only the states that turn non-finite first.
+    # In the adaptation update each of error_lp, q_lp and kappa_accel feeds
+    # kappa_rate within the step: error_lp -> e_rate -> q -> drive, q_lp ->
+    # q_rate -> drive, and drive -> jerk -> kappa_accel -> kappa_rate.  Each
+    # link is a sum, a product with a finite gain or dt, or a quotient by tau
+    # or mass, and none of these turns an inf or a NaN finite (0 * inf and
+    # inf - inf are NaN).  So in a step where any of the five states is
+    # non-finite, kappa or kappa_rate is too, and testing those two trips at
+    # the same step as testing all five.  In the filter update, x_c + dt *
+    # v_c is non-finite whenever v_c is, so testing x_c covers both.
+    i = -1  # the last step the approach loop ran, if any
+    if cfg.fixed_reference:
+        x_ref = steady_state_reference(setpoint, k_env, surface)
+    else:
+        tare_sum, tare_count = 0.0, 0
+        for i in range(n):
+            depth = x - surface_true
+            f_true = k_env * depth if depth > 0.0 else 0.0
+            f_meas = f_true + bias[i] + white[i] if noisy else f_true
             remaining = surface - x_ref
             if remaining > decel_band:
                 tare_sum += f_meas
@@ -314,8 +308,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             e = setpoint - f_tared
             # spurious far-field readings (sensor noise) must not trigger
             # the handover, hence the within-band requirement
-            if abs(f_tared) >= threshold and remaining <= decel_band:
-                in_force_phase = True
+            handover = abs(f_tared) >= threshold and remaining <= decel_band
+            if handover:
                 # the differentiators start from the current error, so the
                 # first adaptation step sees no derivative kick
                 error_lp, q_lp = e, error_weight * e
@@ -332,18 +326,61 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                 else:
                     ref_rate = max(contact_speed, approach_speed * remaining / decel_band)
                 x_ref = x_ref + ref_rate * dt
+            pack(rows, i * row_size, x_ref, x_c, x, f_meas, e, kappa)
+            if i == last:
+                break
+            # impedance_step adds the reference acceleration 0.0 here, which
+            # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
+            # only when both terms are, so v_c + dt * a_c is the same either way
+            a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
+            v_c = v_c + dt * a_c
+            x_c = x_c + dt * v_c
+            if not isfinite(x_c):
+                reason = "filter diverged"
+                del rows[(i + 1) * row_size:]  # this step's row is recorded
+                break
+            if lagged:
+                x = x + (x_c - x) * lag
+                if not isfinite(x):
+                    raise ValueError("probe position must be finite")
+            else:
+                x = x_c
+            if handover:
+                break
 
-        pack(rows, i * row_size, i * dt, x_ref, x_c, x, f_true, f_meas, e, kappa,
-             1.0 / kappa if kappa > floor else inf)
-        if i == n - 1:
+    # the force loop starts after the handover step, and not at all after
+    # a divergence
+    for i in range(n if reason else i + 1, n):
+        depth = x - surface_true
+        f_true = k_env * depth if depth > 0.0 else 0.0
+        f_meas = f_true + bias[i] + white[i] if noisy else f_true
+        e = setpoint - (f_meas - tare)
+        if adapting:
+            error_lp = error_lp + lp_gain * (e - error_lp)
+            e_rate = (e - error_lp) / tau
+            q = error_weight * e + error_rate_weight * e_rate
+            q_lp = q_lp + lp_gain * (q - q_lp)
+            q_rate = (q - q_lp) / tau
+            drive = drive_gain * q + drive_rate_gain * q_rate
+            jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
+            kappa_accel = kappa_accel + dt * jerk
+            kappa_rate = kappa_rate + dt * kappa_accel
+            kappa = kappa + dt * kappa_rate
+            if kappa < 0.0:
+                kappa = 0.0
+            if not (isfinite(kappa) and isfinite(kappa_rate)):
+                reason = "adaptation diverged"
+                del rows[i * row_size:]  # keep the steps recorded before this one
+                break
+            x_ref = kappa * setpoint + surface
+            ref_rate = kappa_rate * setpoint
+        pack(rows, i * row_size, x_ref, x_c, x, f_meas, e, kappa)
+        if i == last:
             break
-        # impedance_step adds the reference acceleration 0.0 here, which
-        # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
-        # only when both terms are, so v_c + dt * a_c is the same either way
-        a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
+        a_c = (e - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
         v_c = v_c + dt * a_c
         x_c = x_c + dt * v_c
-        if not (isfinite(x_c) and isfinite(v_c)):
+        if not isfinite(x_c):
             reason = "filter diverged"
             del rows[(i + 1) * row_size:]  # this step's row is recorded
             break
@@ -354,8 +391,28 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         else:
             x = x_c
 
-    table = np.frombuffer(rows).reshape(-1, len(TRACE_COLUMNS))
-    return SimTrace(cfg, *table.T, failed=bool(reason), failure_reason=reason)
+    # the noise is freed before the columns below are made, so that they
+    # fit within the loop's memory peak
+    del noise, bias, white
+    x_ref, x_c, x, f_meas, e, kappa = np.frombuffer(rows).reshape(-1, len(_LOOP_COLUMNS)).T
+    m = x.size
+    # The other columns by the loop's IEEE operations: i * dt, k_env * depth
+    # where depth > 0.0 (else 0.0), and 1.0 / kappa where kappa >
+    # COMPLIANCE_FLOOR (else inf).  Each is made in place by plain array
+    # operations: a masked or casting ufunc on these strided columns
+    # allocates iteration buffers, and they would set the run's memory peak.
+    t = np.arange(m, dtype=float)
+    t *= dt
+    # an overflow gives inf, as in the loop, or an entry the masks replace
+    with np.errstate(over="ignore", divide="ignore"):
+        f_true = x - surface_true
+        outside = ~(f_true > 0.0)
+        f_true *= k_env
+        f_true[outside] = 0.0
+        stiffness_est = 1.0 / kappa
+    stiffness_est[~(kappa > COMPLIANCE_FLOOR)] = math.inf
+    return SimTrace(cfg, t, x_ref, x_c, x, f_true, f_meas, e, kappa, stiffness_est,
+                    failed=bool(reason), failure_reason=reason)
 
 
 def trace_to_csv(trace: SimTrace) -> str:

@@ -101,6 +101,13 @@ LOW_BOUNDS = WorkspaceBounds(x_min=-0.2, x_max=0.2, y_max=0.2, z_min=-0.1, z_max
 _rng = np.random.default_rng(18)
 QUANTIZED_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, 6000), _rng.uniform(-0.3, 0.19, 6000),
                                    np.round(_rng.uniform(-0.05, 0.16, 6000), 3)])
+# 3000 points whose z values are distinct but for 31 runs of 20 equal ones,
+# -0.0 and 0.0 among them: the sparse ties %.9g text leaves in a dense crop
+_z = _rng.uniform(-0.05, 0.16, 3000)
+_z[:600] = np.repeat(_rng.uniform(-0.05, 0.16, 30), 20)
+_z[600:620] = np.tile([0.0, -0.0], 10)
+SPARSE_TIES_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, 3000), _rng.uniform(-0.3, 0.19, 3000),
+                                     _rng.permutation(_z)])
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -111,6 +118,7 @@ QUANTIZED_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, 6000), _rng.uniform
 @example(points=np.column_stack([np.linspace(-0.1, 0.1, 60), np.zeros(60),
                                   np.tile([0.05, 0.02, 0.1], 20)]))  # ties in z keep input order
 @example(points=QUANTIZED_CLOUD)
+@example(points=SPARSE_TIES_CLOUD)
 @example(points=np.array([[0.0, 0.0, 0.0], [0.01, 0.0, -0.0], [0.02, 0.0, 0.0],
                           [0.03, 0.0, -0.0], [0.04, 0.0, 0.05]]))  # -0.0 ties 0.0
 @example(points=np.array([[0.3, 0.0, 0.05], [0.0, 0.0, 0.2]]))  # nothing kept

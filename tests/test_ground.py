@@ -18,7 +18,6 @@ from soilprobe.ground import (
     SCORE_POINTS,
     GroundEstimate,
     PlaneModel,
-    bin_bounds,
     detect_ground,
     estimate_to_text,
     extract_ground_estimate,
@@ -27,7 +26,7 @@ from soilprobe.ground import (
     refinement_history,
     score_bin,
 )
-from soilprobe.ground import _best_hypothesis
+from soilprobe.ground import _best_hypothesis, _collapsed_bin_bounds
 from soilprobe.scene import PotSceneParams, generate_pot_scene, scene_bounds
 
 
@@ -43,14 +42,23 @@ def cloud_from_z(z_values, rng=None):
 # ---------------------------------------------------------------- binning
 
 def bin_points(z, dz):
-    """The binning that bin_bounds is held to: the bin of every point by the
-    formula min(floor((z - z_min) / dz), n_bins - 1), and the population of
-    every bin, lowest z first; for z in any order."""
+    """The binning that _collapsed_bin_bounds is held to: the bin of every
+    point by the formula min(floor((z - z_min) / dz), n_bins - 1), and the
+    population of every bin, lowest z first; for z in any order."""
     z_min = float(z.min())
     z_max = float(z.max())
     n_bins = max(1, math.ceil((z_max - z_min) / dz))
     idx = np.minimum(np.floor((z - z_min) / dz).astype(int), n_bins - 1)
     return idx, np.bincount(idx, minlength=n_bins)
+
+
+def bin_bounds(z, dz):
+    # the n_bins + 1 bounds of ascending, finite z, bin k holding
+    # z[bounds[k]:bounds[k + 1]]: _collapsed_bin_bounds with every run of
+    # empty bins expanded again
+    firsts, bounds = _collapsed_bin_bounds(memoryview(np.ascontiguousarray(z)), 0, len(z), dz)
+    # bin k starts where the entry holding it does
+    return np.array(bounds)[np.searchsorted(firsts, np.arange(firsts[-1] + 1), side="right") - 1]
 
 
 def bins_of(bounds):
@@ -85,10 +93,10 @@ def test_bin_points_partitions_every_point():
 
 
 def test_bin_points_errors():
+    # the widths are BAND_WIDTHS, so an empty cloud is the one input the
+    # binning rejects
     with pytest.raises(ValueError, match="no points to bin"):
-        bin_bounds(np.array([]), dz=0.07)
-    with pytest.raises(ValueError):
-        bin_bounds(np.array([0.1]), dz=0.0)
+        refinement_history(PointCloud([]))
 
 
 # ---------------------------------------------------------------- scoring

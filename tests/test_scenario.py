@@ -3,6 +3,8 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from soilprobe.adaptation import (
     AdaptationState,
@@ -20,6 +22,7 @@ from soilprobe.impedance import (
 )
 from soilprobe.scenario import (
     MAX_STEPS,
+    SCENARIO_KINDS,
     SCENARIO_STIFFNESS,
     TRACE_COLUMNS,
     ScenarioConfig,
@@ -214,6 +217,17 @@ SHORT = dict(approach_height=0.01, duration=2.0)
 ONE_BLOCK = dict(dt=2**-10, approach_height=0.005, **CRITERION_09_NOISE)
 
 
+def _run_matches_reference(cfg):
+    trace = run_scenario(cfg)
+    columns, failed, reason = _reference_run(cfg)
+    for name in TRACE_COLUMNS:
+        # bytes, so that a -0.0 for 0.0 counts as a difference and +inf
+        # equals +inf
+        assert getattr(trace, name).tobytes() == columns[name].tobytes(), name
+    assert (trace.failed, trace.failure_reason) == (failed, reason)
+    return trace
+
+
 @pytest.mark.parametrize("kind, overrides", [
     pytest.param("moist", SHORT, id="moist"),
     pytest.param("dry", SHORT, id="dry"),
@@ -242,20 +256,57 @@ ONE_BLOCK = dict(dt=2**-10, approach_height=0.005, **CRITERION_09_NOISE)
 ])
 def test_step_loop_matches_the_step_functions(kind, overrides):
     cfg = scenario_preset(kind, **overrides)
-    trace = run_scenario(cfg)
-    columns, failed, reason = _reference_run(cfg)
-    for name in TRACE_COLUMNS:
-        # bytes, so that a -0.0 for 0.0 counts as a difference and +inf
-        # equals +inf
-        assert getattr(trace, name).tobytes() == columns[name].tobytes(), name
-    assert (trace.failed, trace.failure_reason) == (failed, reason)
+    trace = _run_matches_reference(cfg)
     assert trace.kappa.max() > 0.0 or cfg.fixed_reference  # the force phase ran
     if cfg.dt == 2**-10:
         assert len(trace) in (BLOCK, BLOCK + 1)
     if cfg.dt == 0.008:
-        assert (reason, len(trace)) == ("adaptation diverged", 448)
+        assert (trace.failure_reason, len(trace)) == ("adaptation diverged", 448)
     if cfg.dt == 0.009:
-        assert (reason, len(trace)) == ("filter diverged", 409)
+        assert (trace.failure_reason, len(trace)) == ("filter diverged", 409)
+
+
+# a coarse dt reaches the handover within a few hundred steps, and with a
+# tiny differentiator time constant or a huge gain the adaptation diverges
+STEP_LOOP_DTS = (2**-10, 1e-3, 2**-9, 0.002, 0.004, 0.008, 0.009)
+
+
+@st.composite
+def step_loop_configs(draw):
+    """A run of at most 500 steps: any kind, with or without criterion-09
+    noise, robot lag and the fixed reference."""
+    dt = draw(st.sampled_from(STEP_LOOP_DTS))
+    overrides = dict(
+        dt=dt,
+        duration=(draw(st.integers(0, 499)) + 0.5) * dt,  # that many steps after the first
+        # most runs start close enough to reach the force phase
+        approach_height=draw(st.one_of(st.floats(0.0, 0.002), st.floats(0.0, 0.01))),
+        # a camera error of up to 2 mm either way
+        surface_detected=draw(st.floats(-0.002, 0.002)),
+        fixed_reference=draw(st.sampled_from([False, False, False, True])),
+        tracking_tau=draw(st.sampled_from([0.0, 1e-3, 0.05])),
+        deriv_filter_tau=draw(st.sampled_from([0.01, 1e-4, 1e-9])),
+        drive_gain=draw(st.sampled_from([8.0, 1e6, 1e15])),
+        seed=draw(st.integers(0, 20)),
+    )
+    if draw(st.booleans()):
+        overrides.update(CRITERION_09_NOISE)
+    return scenario_preset(draw(st.sampled_from(SCENARIO_KINDS)), **overrides)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(cfg=step_loop_configs())
+# the handover is the last step: dry touches at step 244 here
+@example(cfg=scenario_preset("dry", dt=2**-9, approach_height=0.001, duration=244 * 2**-9))
+@example(cfg=scenario_preset("moist", approach_height=0.01, duration=0.1))  # ends before handover
+@example(cfg=scenario_preset("moist", duration=5e-4))  # one step
+@example(cfg=scenario_preset("moist", dt=2**-10, duration=2**-10))  # two steps
+# the filter diverges in the handover step: the first step past the surface
+# reads an overflowing force
+@example(cfg=scenario_preset("custom", env_stiffness=1e300, mass=1e-9, approach_height=0.0,
+                             dt=0.01, duration=1.0))
+def test_step_loop_matches_the_step_functions_on_any_run(cfg):
+    _run_matches_reference(cfg)
 
 
 def test_divergent_config_truncates_with_flag():
