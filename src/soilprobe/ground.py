@@ -16,7 +16,9 @@ from .cloud import PointCloud, WorkspaceBounds, workspace_filter
 APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot center
 RANSAC_CONFIDENCE = 0.999  # chance that some hypothesis drew 3 inliers
 RANSAC_MAX_DRAWS = 500  # hard cap on the triples drawn
-LOCAL_REFIT_ROUNDS = 5  # least-squares refits after the first, while the inliers grow
+# Threshold factors of the least-squares refits: each refits the set the one
+# before chose and keeps the points within its factor times the threshold.
+REFIT_SCHEDULE = (1.3, 1.15, 1.0)
 DRAW_BLOCK = 16  # triples drawn and scored together
 SCORE_POINTS = 512  # hypotheses are scored on an even stride of at most this many points
 
@@ -271,15 +273,20 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     Sampling stops once N = ceil(log(1 - p) / log(1 - w^3)) triples have been
     drawn, where w is the best inlier share of that sample so far and p =
     RANSAC_CONFIDENCE, or after RANSAC_MAX_DRAWS triples, whichever comes
-    first.  The winner's inliers are then taken among all points, and the
-    refit repeats, up to LOCAL_REFIT_ROUNDS more times, while its inlier set
-    grows (LO-RANSAC, Chum, Matas & Kittler 2003).
+    first.  The winner's inliers are then taken among all points and refit
+    by least squares once per factor of REFIT_SCHEDULE, each refit keeping
+    the points within that factor times the threshold of its plane for the
+    next: a threshold that shrinks to the final one (LO-RANSAC, Chum, Matas
+    & Kittler 2003; Lebeda, Matas & Chum 2012).  Should a refit keep fewer
+    than 3 points, the schedule ends at the last plane with at least 3
+    points within the threshold.
 
     The fit works on one (9, N) array of the valid points, their offsets
     from one inlier and the offsets' six products, and one (N,) scratch row.
     Each refit takes its plane from the inlier-weighted moments of that
-    array, so no round gathers the inlier set.  The reported plane is the refit plane of the
-    set that chose the final inliers.
+    array, so no refit gathers the inlier set.  The reported plane is the
+    refit plane that chose the final inliers: they are exactly the valid
+    points within the threshold of it.
 
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple degenerate).
@@ -310,28 +317,35 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     xyz -= origin[:, None]
     for row, (a, b) in enumerate(itertools.combinations_with_replacement(xyz, 2), start=3):
         np.multiply(a, b, out=mom[row])
-    # Keep the points within the threshold of the refit plane L.  At least 3
-    # remain: the winning triple's plane S has residual 0 on its own 3 points,
-    # which are among the m points of `fitted`, and below t on the other m-3,
-    # so sum r_S^2 < (m-3) t^2 over that set, and least squares gives
+    # Refit on a shrinking threshold (Lebeda, Matas & Chum 2012).  The first
+    # refit plane L keeps at least 3 points within the threshold t: the
+    # winning triple's plane S has residual 0 on its own 3 points, which are
+    # among the m points of `fitted`, and below t on the other m-3, so
+    # sum r_S^2 < (m-3) t^2 over that set, and least squares gives
     # sum r_L^2 <= sum r_S^2; were fewer than 3 of the set within t of L, at
     # least m-2 would lie at t or beyond, so sum r_L^2 >= (m-2) t^2.
     # Only rounding can break it, and only at t near the rounding of the
     # coordinates themselves (1e-16 of their distance from the origin, so
     # 1e-13 at 1e3 m): the moments are summed about an inlier, so their own
     # rounding scales with the inliers' spread, not with that distance.
-    normal, centroid, final = _refit(mom, fitted, count, threshold, scratch)
-    count = np.count_nonzero(final)
-    if count < 3:
-        raise ValueError("plane fit failed: no plane consensus found")
-    # Local refit: only a strictly larger inlier set replaces the current one,
-    # so the 3 kept above stay a lower bound.
-    for _ in range(LOCAL_REFIT_ROUNDS):
-        grown_normal, grown_centroid, grown = _refit(mom, final, count, threshold, scratch)
-        grown_count = np.count_nonzero(grown)
-        if grown_count <= count:
+    # A later refit has no such floor: its set lies within a widened f t of
+    # the plane before, and (m-2) (f' t)^2 can fall below m (f t)^2.  So a
+    # refit whose set or final inliers hold fewer than 3 points ends the
+    # schedule at the last plane with at least 3 points within t of it.
+    final, planes = fitted, []
+    for factor in REFIT_SCHEDULE:
+        normal, centroid, final = _refit(mom, final, count, factor * threshold, scratch)
+        count = np.count_nonzero(final)
+        planes.append((normal, centroid))
+        if count < 3:
             break
-        normal, centroid, final, count = grown_normal, grown_centroid, grown, grown_count
+    while count < 3:
+        planes.pop()
+        if not planes:
+            raise ValueError("plane fit failed: no plane consensus found")
+        normal, centroid = planes[-1]
+        final = _within(normal, xyz, normal @ centroid, threshold, scratch)
+        count = np.count_nonzero(final)
     # the plane that chose `final` passes through origin + centroid
     d = -(float(normal @ centroid) + float(normal @ origin))
     del mom, xyz, scratch  # release the (9, N) array before the index array is made
