@@ -234,13 +234,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     Divergence of either the filter or the adaptation law truncates the
     trace and sets the failure flag; it never raises.
 
-    Each phase is its own loop over the step index: the approach loop
-    (skipped under fixed_reference) ends after the handover step's row and
-    filter update, and the force loop runs from the next step on.  The
-    loops call no step function or sensor method: the run's sensor noise
-    comes from one SensorState.noise call before them, and the math of
-    environment_force, adaptation_step, position_reference, impedance_step
-    and robot_step is written out on local floats in their operand order.
+    The step loop calls no step function or sensor method: the run's
+    sensor noise comes from one SensorState.noise call before it, and the
+    math of environment_force, adaptation_step, position_reference,
+    impedance_step and robot_step is written out on local floats in their
+    operand order.
     A step records only the values the loop carries, _LOOP_COLUMNS; t,
     f_true and stiffness_est are computed from them after the loop by the
     same IEEE operations.  The tests hold every trace column equal, bit
@@ -290,15 +288,36 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     # non-finite, kappa or kappa_rate is too, and testing those two trips at
     # the same step as testing all five.  In the filter update, x_c + dt *
     # v_c is non-finite whenever v_c is, so testing x_c covers both.
-    i = -1  # the last step the approach loop ran, if any
     if cfg.fixed_reference:
         x_ref = steady_state_reference(setpoint, k_env, surface)
-    else:
-        tare_sum, tare_count = 0.0, 0
-        for i in range(n):
-            depth = x - surface_true
-            f_true = k_env * depth if depth > 0.0 else 0.0
-            f_meas = f_true + bias[i] + white[i] if noisy else f_true
+    in_contact = cfg.fixed_reference
+    tare_sum, tare_count = 0.0, 0
+    for i in range(n):
+        depth = x - surface_true
+        f_true = k_env * depth if depth > 0.0 else 0.0
+        f_meas = f_true + bias[i] + white[i] if noisy else f_true
+        if in_contact:
+            e = e_ctrl = setpoint - (f_meas - tare)
+            if adapting:
+                error_lp = error_lp + lp_gain * (e - error_lp)
+                e_rate = (e - error_lp) / tau
+                q = error_weight * e + error_rate_weight * e_rate
+                q_lp = q_lp + lp_gain * (q - q_lp)
+                q_rate = (q - q_lp) / tau
+                drive = drive_gain * q + drive_rate_gain * q_rate
+                jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
+                kappa_accel = kappa_accel + dt * jerk
+                kappa_rate = kappa_rate + dt * kappa_accel
+                kappa = kappa + dt * kappa_rate
+                if kappa < 0.0:
+                    kappa = 0.0
+                if not (isfinite(kappa) and isfinite(kappa_rate)):
+                    reason = "adaptation diverged"
+                    del rows[i * row_size:]  # keep the steps recorded before this one
+                    break
+                x_ref = kappa * setpoint + surface
+                ref_rate = kappa_rate * setpoint
+        else:
             remaining = surface - x_ref
             if remaining > decel_band:
                 tare_sum += f_meas
@@ -308,8 +327,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             e = setpoint - f_tared
             # spurious far-field readings (sensor noise) must not trigger
             # the handover, hence the within-band requirement
-            handover = abs(f_tared) >= threshold and remaining <= decel_band
-            if handover:
+            if abs(f_tared) >= threshold and remaining <= decel_band:
+                in_contact = True
                 # the differentiators start from the current error, so the
                 # first adaptation step sees no derivative kick
                 error_lp, q_lp = e, error_weight * e
@@ -326,58 +345,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                 else:
                     ref_rate = max(contact_speed, approach_speed * remaining / decel_band)
                 x_ref = x_ref + ref_rate * dt
-            pack(rows, i * row_size, x_ref, x_c, x, f_meas, e, kappa)
-            if i == last:
-                break
-            # impedance_step adds the reference acceleration 0.0 here, which
-            # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
-            # only when both terms are, so v_c + dt * a_c is the same either way
-            a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
-            v_c = v_c + dt * a_c
-            x_c = x_c + dt * v_c
-            if not isfinite(x_c):
-                reason = "filter diverged"
-                del rows[(i + 1) * row_size:]  # this step's row is recorded
-                break
-            if lagged:
-                x = x + (x_c - x) * lag
-                if not isfinite(x):
-                    raise ValueError("probe position must be finite")
-            else:
-                x = x_c
-            if handover:
-                break
-
-    # the force loop starts after the handover step, and not at all after
-    # a divergence
-    for i in range(n if reason else i + 1, n):
-        depth = x - surface_true
-        f_true = k_env * depth if depth > 0.0 else 0.0
-        f_meas = f_true + bias[i] + white[i] if noisy else f_true
-        e = setpoint - (f_meas - tare)
-        if adapting:
-            error_lp = error_lp + lp_gain * (e - error_lp)
-            e_rate = (e - error_lp) / tau
-            q = error_weight * e + error_rate_weight * e_rate
-            q_lp = q_lp + lp_gain * (q - q_lp)
-            q_rate = (q - q_lp) / tau
-            drive = drive_gain * q + drive_rate_gain * q_rate
-            jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
-            kappa_accel = kappa_accel + dt * jerk
-            kappa_rate = kappa_rate + dt * kappa_accel
-            kappa = kappa + dt * kappa_rate
-            if kappa < 0.0:
-                kappa = 0.0
-            if not (isfinite(kappa) and isfinite(kappa_rate)):
-                reason = "adaptation diverged"
-                del rows[i * row_size:]  # keep the steps recorded before this one
-                break
-            x_ref = kappa * setpoint + surface
-            ref_rate = kappa_rate * setpoint
         pack(rows, i * row_size, x_ref, x_c, x, f_meas, e, kappa)
         if i == last:
             break
-        a_c = (e - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
+        # impedance_step adds the reference acceleration 0.0 here, which
+        # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
+        # only when both terms are, so v_c + dt * a_c is the same either way
+        a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
         v_c = v_c + dt * a_c
         x_c = x_c + dt * v_c
         if not isfinite(x_c):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import typing
 
@@ -215,6 +216,8 @@ SHORT = dict(approach_height=0.01, duration=2.0)
 # dt = 2**-10 makes duration / dt exact, so a duration of 1023 or 1024 steps
 # gives a run of BLOCK or BLOCK + 1 steps
 ONE_BLOCK = dict(dt=2**-10, approach_height=0.005, **CRITERION_09_NOISE)
+# a 10 cm approach at dt = 0.009: the filter diverges before the handover
+APPROACH_DIVERGES = dict(dt=0.009, approach_height=0.1, duration=10.0)
 
 
 def _run_matches_reference(cfg):
@@ -253,10 +256,16 @@ def _run_matches_reference(cfg):
     pytest.param("moist", dict(dt=0.008, duration=5.0, seed=1, **CRITERION_09_NOISE),
                  id="adaptation-diverges-under-noise"),
     pytest.param("moist", dict(dt=0.009, duration=5.0), id="filter-diverges"),
+    pytest.param("moist", APPROACH_DIVERGES, id="filter-diverges-in-approach"),
 ])
 def test_step_loop_matches_the_step_functions(kind, overrides):
     cfg = scenario_preset(kind, **overrides)
     trace = _run_matches_reference(cfg)
+    if overrides is APPROACH_DIVERGES:
+        # the filter overflows before the probe reaches the surface
+        assert (trace.failure_reason, len(trace)) == ("filter diverged", 424)
+        assert trace.kappa.max() == 0.0
+        return
     assert trace.kappa.max() > 0.0 or cfg.fixed_reference  # the force phase ran
     if cfg.dt == 2**-10:
         assert len(trace) in (BLOCK, BLOCK + 1)
@@ -301,6 +310,8 @@ def step_loop_configs(draw):
 @example(cfg=scenario_preset("moist", approach_height=0.01, duration=0.1))  # ends before handover
 @example(cfg=scenario_preset("moist", duration=5e-4))  # one step
 @example(cfg=scenario_preset("moist", dt=2**-10, duration=2**-10))  # two steps
+# the probe starts 2 mm into the soil, so the handover is the first step
+@example(cfg=scenario_preset("moist", approach_height=0.0, surface_detected=0.002, duration=0.05))
 # the filter diverges in the handover step: the first step past the surface
 # reads an overflowing force
 @example(cfg=scenario_preset("custom", env_stiffness=1e300, mass=1e-9, approach_height=0.0,
@@ -312,9 +323,10 @@ def test_step_loop_matches_the_step_functions_on_any_run(cfg):
 def test_divergent_config_truncates_with_flag():
     # the adaptation guard trips before its step is recorded, the filter
     # guard after, so each keeps every finite row and no more
-    for dt, reason, rows in ((0.008, "adaptation diverged", 448),
-                             (0.009, "filter diverged", 409)):
-        trace = run_scenario(scenario_preset("moist", dt=dt, duration=5.0))
+    for overrides, reason, rows in ((dict(dt=0.008, duration=5.0), "adaptation diverged", 448),
+                                    (dict(dt=0.009, duration=5.0), "filter diverged", 409),
+                                    (APPROACH_DIVERGES, "filter diverged", 424)):
+        trace = run_scenario(scenario_preset("moist", **overrides))
         assert trace.failed
         assert trace.failure_reason == reason
         assert len(trace) == rows
@@ -324,6 +336,43 @@ def test_divergent_config_truncates_with_flag():
                 assert np.isfinite(getattr(trace, name)).all(), name
         summary = trace.summary()
         assert summary["failed"] and summary["failure_reason"] == trace.failure_reason
+
+
+# sha256 of trace_to_csv(trace) + format_summary(trace.summary()) for 10 s
+# runs of the presets; a change that moves any trace or summary byte must
+# update these and say which runs changed and why
+TRACE_DIGESTS = [
+    pytest.param("moist", {}, "fca56187f962b9b228d9e2f80ae0307117d579827b48bf15b2de30eb9d86e4a0",
+                 id="moist"),
+    pytest.param("dry", {}, "4cebf816133b82c1a470180c71d90835543854b17cadfacdab7ec50479d97831",
+                 id="dry"),
+    pytest.param("rigid", {}, "57e620470df055295d1372d366a2e6a498439fbbc83875c7a5e9e7da6e70088d",
+                 id="rigid"),
+    pytest.param("moist", dict(seed=1, **CRITERION_09_NOISE),
+                 "69052fab9a5f385ee7971a3a1f0a7f5c4fbbc49ac1d20a359b1baeae49620058",
+                 id="moist-noise-seed1"),
+    pytest.param("dry", dict(seed=1, **CRITERION_09_NOISE),
+                 "3ab4ce8cc495966a07c8b5db39cf338d75d4e81e350aaadaae530470bda4bf57",
+                 id="dry-noise-seed1"),
+    pytest.param("rigid", dict(seed=1, **CRITERION_09_NOISE),
+                 "3884432bade44255a66232179e78d38d5f7e3d8e341bc090c6ed585a5fc0464a",
+                 id="rigid-noise-seed1"),
+    pytest.param("moist", dict(fixed_reference=True),
+                 "42e027eb113333a20d1ebaaf6d50aecea18044f80ff303b02acb3fffaa890edf",
+                 id="moist-fixed-reference"),
+    pytest.param("dry", dict(tracking_tau=5e-3),
+                 "6833770ce13e2061164baae82ae5a7d15b86bf11db76cfcf279e7eabd477a6fd",
+                 id="dry-tracking-lag"),
+]
+
+
+@pytest.mark.parametrize("kind, overrides, digest", TRACE_DIGESTS)
+def test_trace_bytes_are_pinned(kind, overrides, digest):
+    # the reference loop above could change with the step loop; these
+    # digests hold the output bytes across versions
+    trace = run_scenario(scenario_preset(kind, **overrides))
+    text = trace_to_csv(trace) + format_summary(trace.summary())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_fixed_reference_reaches_zero_error():
