@@ -106,6 +106,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = scenario_config(settings["scenario"], seed=settings["seed"])
     cloud, truth = _load_scene(settings.get("input"), cfg.seed)
     est = detect_ground(cloud, scene_bounds(), seed=cfg.seed)
+    del cloud  # the run and the CSV stage do not need the points
     _info(f"detected soil plane: z={est.center.z:.4f} m, {est.plane.inlier_count} inliers")
 
     # the probe descends along -z; the scenario runs on a depth axis where

@@ -391,7 +391,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Render a trace as CSV with the contracted header and column order,
-    each value as %.9g."""
+    each value as %.9g.
+
+    The rows are rendered CSV_CHUNK_ROWS at a time by cloud.csv_chunks, so
+    beside the text only the stacked table and one chunk's buffers are held.
+    """
     table = np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
     return "".join([",".join(TRACE_COLUMNS) + "\n", *csv_chunks(table)])
 

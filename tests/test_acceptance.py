@@ -54,7 +54,8 @@ def test_criterion_01_detection_accuracy():
 def test_criterion_02_refinement_schedule():
     rng = np.random.default_rng(0)
     cloud, _ = generate_pot_scene(PotSceneParams(), seed=0)
-    history = refinement_history(cloud.select(rng.permutation(len(cloud))).sort_by_z())
+    shuffled = cloud.select(rng.permutation(len(cloud)))
+    history = refinement_history(shuffled.select(np.argsort(shuffled.z, kind="stable")))
     nested = all(np.isin(history[i + 1], history[i]).all() for i in range(len(history) - 1))
     ok = len(history) == 7 and nested
     report(2, "refinement runs exactly 7 nested passes", ok,

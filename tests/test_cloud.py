@@ -3,6 +3,7 @@ import gzip
 import io
 import lzma
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from soilprobe.cloud import (
     CSV_CHUNK_ROWS,
     PointCloud,
     WorkspaceBounds,
+    csv_chunks,
     load_cloud,
     save_cloud,
     workspace_filter,
@@ -35,13 +37,6 @@ def test_cloud_accessors_and_indexing():
     cloud = PointCloud([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert np.array_equal(cloud.z, [3.0, 6.0])
     assert tuple(cloud.points[1]) == (4.0, 5.0, 6.0)
-
-
-def test_sort_by_z_is_stable_ascending():
-    cloud = PointCloud([[0.0, 0.0, 0.3], [1.0, 0.0, 0.1], [2.0, 0.0, 0.2]])
-    ordered = cloud.sort_by_z()
-    assert np.array_equal(ordered.z, [0.1, 0.2, 0.3])
-    assert np.array_equal(ordered.points[:, 0], [1.0, 2.0, 0.0])
 
 
 def test_workspace_filter_keeps_strict_interior():
@@ -87,7 +82,8 @@ def reference_workspace_filter(cloud, bounds):
         & (pts[:, 2] > bounds.z_min)
         & (pts[:, 2] < bounds.z_max)
     )
-    return cloud.select(keep).sort_by_z()
+    kept = cloud.select(keep)
+    return kept.select(np.argsort(kept.z, kind="stable"))
 
 
 # every bound of BOUNDS, the non-finite values, and a few plain coordinates
@@ -250,6 +246,45 @@ def test_save_cloud_bytes_are_one_row_per_point(tmp_path):
         path = tmp_path / f"{name}.txt"
         save_cloud(PointCloud(array), path)
         assert_same_rows(path.read_text(), want, name)
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any float64 bit pattern, any float, and values near a .5 tie of the
+# 9-digit rounding, which the renderer hands to Python's '%.9g'
+FLOATS = st.one_of(st.integers(0, 2**64 - 1).map(float_from_bits), st.floats(),
+                   st.builds(lambda m, k: (m + 0.5) * 10.0 ** k,
+                             st.integers(10**8, 10**9 - 1), st.integers(-30, 30)))
+TIES = [12345678.25, 12345678.75, 123456788.5, -1234567885.0, 1234567895.0,  # exact
+        445.0319925, 6.871322005e-11, 9767675.735, 0.1234567835]            # near
+# where %g switches between fixed and exponent notation, and roundings
+# that carry across the switch
+SWITCHES = [1e-05, 0.0001, 9.9999999995e-05, 0.00012345678, 99999999.95, 123456789.0,
+            999999999.5, 1234567890.0, 0.5, 1.0, 10.0, -99.0]
+# 3-digit exponents, and the ends of the renderer's exponent table
+WIDE = [1e100, -1.5e-200, 1.7976931348623157e308, 1e-300, 9.99e-301, 2.2250738585072014e-308,
+        1e-99, 9.9e99, 123456789e-112]
+SPECIAL = [5e-324, -5e-324, 0.0, -0.0, math.inf, -math.inf, math.nan,
+           float_from_bits(0xFFF8000000000000)]  # nan with the sign bit set
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(values=st.lists(FLOATS, min_size=1, max_size=40), cols=st.sampled_from([1, 3, 9]),
+       rows=st.sampled_from([0, 1, 2, 7, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS + 1]),
+       order=st.sampled_from("CF"))
+@example(values=TIES, cols=9, rows=CSV_CHUNK_ROWS + 1, order="F")
+@example(values=SWITCHES, cols=3, rows=8, order="C")
+@example(values=WIDE, cols=9, rows=2, order="C")
+@example(values=SPECIAL, cols=1, rows=8, order="C")
+@example(values=[1.0], cols=3, rows=0, order="C")  # an empty table
+def test_csv_chunks_write_percent_g(values, cols, rows, order):
+    # the values repeat to fill the table, so they land in every column and,
+    # past CSV_CHUNK_ROWS rows, in a second chunk
+    table = np.asarray(np.resize(np.array(values), (rows, cols)), order=order)
+    want = [",".join(["%.9g" % v for v in row]) + "\n" for row in table.tolist()]
+    assert_same_rows("".join(csv_chunks(table)), want, order)
 
 
 def test_save_cloud_streams_its_rows(tmp_path):
