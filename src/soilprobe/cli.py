@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from .scenario import (
     format_run_statistics,
     format_summary,
     run_scenario,
-    summarize_runs,
+    summary_statistics,
     trace_to_csv,
 )
 from .scene import PotSceneParams, generate_pot_scene, scene_bounds
@@ -127,22 +129,105 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0 if not trace.failed else 2
 
 
+def _bench_runs(base, repeats: int) -> list:
+    """The summaries of the runs of seeds base.seed + i, i < repeats, in seed
+    order, cut after the first run that raised, whose exception ends the list.
+
+    Run i goes to lane i % k, with k the number of CPUs this process may run
+    on, but at most repeats.  This process runs lane 0 and a forked child
+    each other lane.  A child sends its lane's results back through a pipe
+    as one pickle and leaves with os._exit; one that ends without sending
+    them gives a RuntimeError that names its seeds and its signal or exit
+    code, in place of its lane's first run.  No child outlives the call.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        lanes = min(len(os.sched_getaffinity(0)), repeats)
+    else:
+        lanes = min(os.cpu_count() or 1, repeats)
+
+    def lane(j: int) -> list:
+        out = []
+        try:
+            for i in range(j, repeats, lanes):
+                out.append(run_scenario(dataclasses.replace(base, seed=base.seed + i)).summary())
+        except Exception as err:  # raised by cmd_bench where the run falls in seed order
+            out.append(err)
+        return out
+
+    pids, pipes, running = [], [], []
+    # output still buffered here would otherwise be the children's too
+    sys.stdout.flush()
+    sys.stderr.flush()
+    try:
+        for j in range(1, lanes):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            with os.fdopen(write_fd, "wb") as out:  # the parent's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        out.write(pickle.dumps(lane(j)))
+                        out.flush()
+                        code = 0
+                    finally:
+                        os._exit(code)
+            pids.append(pid)
+            running.append(pid)
+        results = [lane(0)]
+        for j, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code == 0:
+                results.append(pickle.loads(data))
+                continue
+            if code < 0:
+                import signal
+                how = f"was killed by {signal.Signals(-code).name}"
+            else:
+                how = f"exited with code {code}"
+            seeds = [str(base.seed + i) for i in range(j, repeats, lanes)]
+            results.append([RuntimeError(
+                f"the process running seed{'s' * (len(seeds) > 1)} {', '.join(seeds)} {how} "
+                "before it sent its runs")])
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if running:
+            import signal
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    ordered = []
+    for i in range(repeats):
+        ordered.append(results[i % lanes][i // lanes])
+        if isinstance(ordered[-1], Exception):
+            break
+    return ordered
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Run the scenario at --repeats consecutive seeds and write the
+    per-kind statistics of their summaries.
+
+    The runs are spread over the CPUs this process may use (_bench_runs);
+    the output, the `seed N: failed` lines, their order, the exit code and
+    an error a run raises are those of running the seeds one after another
+    in this process, for any number of CPUs.
+    """
     base = scenario_config(**_settings(args, SCENARIO_TYPES))
-    traces = []
-    failures = 0
-    for i in range(args.repeats):
-        cfg = dataclasses.replace(base, seed=base.seed + i)
-        trace = run_scenario(cfg)
-        if trace.failed:
-            failures += 1
-            _info(f"seed {cfg.seed}: failed ({trace.failure_reason})")
-        traces.append(trace)
-    stats = summarize_runs(traces)
-    _write_text(args.out, format_run_statistics(stats))
+    summaries = []
+    for result in _bench_runs(base, args.repeats):
+        if isinstance(result, Exception):
+            raise result
+        if result["failed"]:
+            _info(f"seed {result['seed']}: failed ({result['failure_reason']})")
+        summaries.append(result)
+    _write_text(args.out, format_run_statistics(summary_statistics(summaries)))
     if args.out:
         _info(f"statistics written to {args.out}")
-    return 0 if failures == 0 else 2
+    return 0 if not any(s["failed"] for s in summaries) else 2
 
 
 def _repeat_count(text: str) -> int:

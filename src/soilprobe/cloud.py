@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bz2
+import functools
 import gzip
 import lzma
 import math
@@ -146,9 +147,15 @@ _SLOW, _ZERO, _INF, _NEG_INF, _NAN = range(_NE, _NE + 5)  # the special rows
 _TIE = 0.5 - 1e-6  # |s - rint(s)| above this: within 1e-6 of a tie
 
 
+@functools.cache
 def _g9_tables():
-    """The lookup tables of _render_g9, built once at import.
+    """The lookup tables of _render_g9, built on the first render, so that a
+    process that writes no text does not hold them.
 
+    Per key, the top 12 bits of a float64: the exponent row and the sign; per
+    row, an exponent or a special value: the scale, the power of ten that
+    raises the row by one, and the layout words; per 4-digit group, its text
+    and then its text without trailing zeros; per first digit, its text.
     They are built from Python lists and 1-D numpy operations, which numpy
     sets up faster on first use than 2-D broadcasts.
     """
@@ -220,14 +227,6 @@ def _g9_tables():
             np.concatenate([groups, stripped]), first_digit)
 
 
-# per key, the top 12 bits of a float64: the exponent row and the sign; per
-# row, an exponent or a special value: the scale, the power of ten that
-# raises the row by one, and the layout words; per 4-digit group, its text
-# and then its text without trailing zeros; per first digit, its text
-(_KEY_ROW, _KEY_SIGN, _SCALE, _RAISE_AT, _BELOW_POINT, _INT_ZEROS, _POINT, _PREFIX, _EXPONENT,
- _GROUPS, _FIRST_DIGIT) = _g9_tables()
-
-
 def _render_g9(values: np.ndarray, slots: np.ndarray, separators: np.ndarray) -> None:
     """Write the %.9g text of each value and its separator into its slot.
 
@@ -235,16 +234,18 @@ def _render_g9(values: np.ndarray, slots: np.ndarray, separators: np.ndarray) ->
     slots, `separators` each value's separator, already in byte 6.  Each
     temporary is deleted once used, which keeps a chunk's memory small.
     """
+    (key_row, key_sign, scale, raise_at, below_point, int_zeros, point, prefix, exponent,
+     groups, first_digit) = _g9_tables()
     u64 = np.uint64
     # sign and biased exponent; a negative value's key is negative, and
     # take() reads it from the upper half of a 4096-entry table
     key = values.view(np.int64) >> 52
-    slots[:, 0] = _KEY_SIGN.take(key)
+    slots[:, 0] = key_sign.take(key)
     mag = np.fmin(np.abs(values), sys.float_info.max)  # inf and nan scale by 0
-    row = _KEY_ROW.take(key)
+    row = key_row.take(key)
     del key
-    row += mag >= _RAISE_AT.take(row)
-    s = np.multiply(mag, _SCALE.take(row), out=mag)
+    row += mag >= raise_at.take(row)
+    s = np.multiply(mag, scale.take(row), out=mag)
     m = np.rint(s)
     s -= m
     slow = np.abs(s, out=s) > _TIE
@@ -258,7 +259,7 @@ def _render_g9(values: np.ndarray, slots: np.ndarray, separators: np.ndarray) ->
     low = digits - 10000 * high
     first = high // 10000
     high -= 10000 * first
-    slots[:, 0] |= _FIRST_DIGIT.take(first)
+    slots[:, 0] |= first_digit.take(first)
     del digits, first
 
     special = np.flatnonzero(row == _SLOW)
@@ -268,25 +269,25 @@ def _render_g9(values: np.ndarray, slots: np.ndarray, separators: np.ndarray) ->
                          [_ZERO, _INF, _NEG_INF, _NAN], _SLOW)
         row[special] = kind
         slow[special[kind == _SLOW]] = True
-    slots[:, 0] |= _PREFIX.take(row)
+    slots[:, 0] |= prefix.take(row)
 
     # digits 2-9: trailing zeros cleared, then the integer ones put back
     np.add(high, 10000, out=high, where=low == 0)
-    digits = _GROUPS.take(high)
-    digits |= _GROUPS.take(low + 10000) << u64(32)
-    digits |= _INT_ZEROS.take(row)
+    digits = groups.take(high)
+    digits |= groups.take(low + 10000) << u64(32)
+    digits |= int_zeros.take(row)
     del high, low
-    before = digits & _BELOW_POINT.take(row)
+    before = digits & below_point.take(row)
     digits ^= before
     # the point only where a digit follows it
-    np.multiply(_POINT.take(row), digits != 0, out=slots[:, 1])
+    np.multiply(point.take(row), digits != 0, out=slots[:, 1])
     slots[:, 1] |= before
     del before
     slots[:, 2] = digits >> u64(56)
     digits <<= u64(8)
     slots[:, 1] |= digits
     del digits
-    slots[:, 2] |= _EXPONENT.take(row)
+    slots[:, 2] |= exponent.take(row)
     slots[:, 2] |= separators
 
     text = slots.view(np.uint8)
@@ -296,26 +297,34 @@ def _render_g9(values: np.ndarray, slots: np.ndarray, separators: np.ndarray) ->
         text[i, :len(cell)] = np.frombuffer(cell, np.uint8)
 
 
-def csv_chunks(table: np.ndarray):
-    """Yield the rows of a 2-D float table, in row order, as lines of
-    comma-separated %.9g values, CSV_CHUNK_ROWS lines per chunk.
+def csv_chunks(columns):
+    """Yield the rows of equal-length float columns, in row order, as lines
+    of comma-separated %.9g values, CSV_CHUNK_ROWS lines per chunk.
 
-    numpy renders each chunk into one reused buffer of fixed-size slots, and
-    one bytes.translate drops the unused bytes; a value that rounds too close
-    to a tie, a subnormal, or |v| below about 1e-300 is formatted by Python's
-    '%.9g'.  The bytes are those of '%.9g' % v for every value.
+    `columns` is a sequence of 1-D arrays, or a 2-D array whose rows are the
+    columns.  Each chunk's rows are stacked into one reused buffer of values,
+    so the whole table is never built; numpy renders them into one reused
+    buffer of fixed-size slots, and one bytes.translate drops the unused
+    bytes.  A value that rounds too close to a tie, a subnormal, or |v|
+    below about 1e-300 is formatted by Python's '%.9g'.  The bytes are those
+    of '%.9g' % v for every value.
     """
-    rows, cols = min(len(table), CSV_CHUNK_ROWS), table.shape[1]
+    total, cols = len(columns[0]), len(columns)
+    rows = min(total, CSV_CHUNK_ROWS)
+    values = np.empty((rows, cols))
     buffer = bytearray(rows * cols * 24)
     slots = np.frombuffer(buffer, np.uint64).reshape(-1, 3)
     separators = np.full((rows, cols), ord(",") << 48, np.uint64)
     separators[:, -1] = ord("\n") << 48
     separators = separators.ravel()
-    for start in range(0, len(table), CSV_CHUNK_ROWS):
-        chunk = table[start:start + CSV_CHUNK_ROWS]
+    for start in range(0, total, CSV_CHUNK_ROWS):
+        end = min(start + CSV_CHUNK_ROWS, total)
+        chunk = values[:end - start]
+        for j, column in enumerate(columns):
+            chunk[:, j] = column[start:end]
         n = chunk.size
         slots[n:] = 0  # the slots past a short last chunk
-        _render_g9(np.ascontiguousarray(chunk, dtype=float).ravel(), slots[:n], separators[:n])
+        _render_g9(chunk.ravel(), slots[:n], separators[:n])
         yield buffer.translate(None, b"\0").decode()
 
 
@@ -336,7 +345,7 @@ def save_cloud(cloud: PointCloud, path) -> None:
     as it is rendered, so the whole text is never held at once.
     """
     with _open_by_suffix(path, "wt") as f:
-        f.writelines(csv_chunks(cloud.points))
+        f.writelines(csv_chunks(cloud.points.T))
 
 
 def load_cloud(path) -> PointCloud:

@@ -394,10 +394,10 @@ def trace_to_csv(trace: SimTrace) -> str:
     each value as %.9g.
 
     The rows are rendered CSV_CHUNK_ROWS at a time by cloud.csv_chunks, so
-    beside the text only the stacked table and one chunk's buffers are held.
+    beside the trace and the text only one chunk's buffers are held.
     """
-    table = np.column_stack([getattr(trace, name) for name in TRACE_COLUMNS])
-    return "".join([",".join(TRACE_COLUMNS) + "\n", *csv_chunks(table)])
+    columns = [getattr(trace, name) for name in TRACE_COLUMNS]
+    return "".join([",".join(TRACE_COLUMNS) + "\n", *csv_chunks(columns)])
 
 
 def format_summary(summary: dict) -> str:
@@ -420,17 +420,21 @@ def summarize_runs(traces) -> dict:
     kappa_final additionally reports its relative std (std over |mean|),
     the repetition-dispersion figure of merit.
     """
-    traces = list(traces)
-    if not traces:
+    return summary_statistics([tr.summary() for tr in traces])
+
+
+def summary_statistics(summaries) -> dict:
+    """summarize_runs from the runs' SimTrace.summary() dicts, in run order."""
+    if not summaries:
         raise ValueError("no traces to summarize")
     by_kind: dict[str, list[dict]] = {}
-    for tr in traces:
-        by_kind.setdefault(tr.config.scenario, []).append(tr.summary())
+    for summary in summaries:
+        by_kind.setdefault(summary["scenario"], []).append(summary)
     out: dict[str, dict] = {}
-    for kind, summaries in by_kind.items():
-        stats: dict[str, dict] = {"runs": len(summaries)}
+    for kind, runs in by_kind.items():
+        stats: dict[str, dict] = {"runs": len(runs)}
         for metric in RUN_METRICS:
-            vals = np.array([s[metric] for s in summaries], dtype=float)
+            vals = np.array([s[metric] for s in runs], dtype=float)
             entry = {
                 "mean": float(np.mean(vals)),
                 "std": float(np.std(vals)),

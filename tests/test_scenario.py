@@ -445,9 +445,12 @@ def test_csv_rows_across_chunks():
 
 def test_trace_to_csv_renders_a_chunk_at_a_time():
     # The peak of Python allocations while a default 10 s trace is written:
-    # the stacked table, the chunks and the joined text, which the renderer
-    # that formatted each chunk with one % reached (2.79x the text for moist,
-    # 2.89x for rigid).  Rendering the whole table at once costs far more.
+    # the chunks and the joined text (2.00x the text for moist and rigid).
+    # Stacking the whole table first reached 2.79x and 2.89x, and rendering
+    # it at once costs far more.  The first render builds the renderer's
+    # tables, which live as long as the process, so one runs before the
+    # window opens.
+    trace_to_csv(run_scenario(scenario_preset("moist", duration=0.01)))
     for kind in ("moist", "rigid"):
         trace = run_scenario(scenario_preset(kind))
         tracemalloc.start()
@@ -456,7 +459,7 @@ def test_trace_to_csv_renders_a_chunk_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.9 * len(text), kind
+        assert peak < 2.1 * len(text), kind
 
 
 def test_summary_contents():
