@@ -59,15 +59,21 @@ def _settings(args: argparse.Namespace, types: dict, **defaults) -> dict:
     return {**defaults, **given, **flags}
 
 
-def _load_scene(path: str | None, seed: int):
-    """Scene from the input file, or a generated one with the run's seed."""
+def _detect_scene(path: str | None, seed: int):
+    """The soil estimate of the input file's scene, or of a generated one
+    with the run's seed, and the generated scene's truth (None for a file).
+
+    The cloud reaches detect_ground as a temporary that no name here holds,
+    so it is freed as soon as detect_ground has gathered the soil band.
+    """
     if path:
-        cloud = load_cloud(path)
-        _info(f"loaded {len(cloud)} points from {path}")
-        return cloud, None
-    cloud, truth = generate_pot_scene(PotSceneParams(), seed=seed)
-    _info(f"generated scene with {len(cloud)} points (seed {seed})")
-    return cloud, truth
+        scene = [load_cloud(path), None]
+        _info(f"loaded {len(scene[0])} points from {path}")
+    else:
+        scene = list(generate_pot_scene(PotSceneParams(), seed=seed))
+        _info(f"generated scene with {len(scene[0])} points (seed {seed})")
+    truth = scene.pop()
+    return detect_ground(scene.pop(), scene_bounds(), seed=seed), truth
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -79,8 +85,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     settings = _settings(args, DETECT_TYPES, seed=0)
-    cloud, _ = _load_scene(settings.get("input"), settings["seed"])
-    est = detect_ground(cloud, scene_bounds(), seed=settings["seed"])
+    est, _ = _detect_scene(settings.get("input"), settings["seed"])
     _info(f"plane fit with {est.plane.inlier_count} inliers")
     out = settings.get("out")
     _write_text(out, estimate_to_text(est))
@@ -106,9 +111,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     settings = _settings(args, PIPELINE_TYPES, seed=0, scenario="moist", out_dir="pipeline_out")
     cfg = scenario_config(settings["scenario"], seed=settings["seed"])
-    cloud, truth = _load_scene(settings.get("input"), cfg.seed)
-    est = detect_ground(cloud, scene_bounds(), seed=cfg.seed)
-    del cloud  # the run and the CSV stage do not need the points
+    est, truth = _detect_scene(settings.get("input"), cfg.seed)
     _info(f"detected soil plane: z={est.center.z:.4f} m, {est.plane.inlier_count} inliers")
 
     # the probe descends along -z; the scenario runs on a depth axis where

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, WorkspaceBounds, workspace_filter
+from .cloud import PointCloud, WorkspaceBounds, _crop_order
 
 APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot center
 RANSAC_CONFIDENCE = 0.999  # chance that some hypothesis drew 3 inliers
@@ -180,27 +180,23 @@ def _canonical_sign(normal: np.ndarray) -> np.ndarray:
     return normal
 
 
-# Where each entry of the 3x3 second-moment matrix sits among the moments
-# x, y, z, xx, xy, xz, yy, yz, zz that _refit sums.
-_SECOND_MOMENTS = np.array([[3, 4, 5], [4, 6, 7], [5, 7, 8]])
-
-
-def _refit(mom: np.ndarray, inliers: np.ndarray, m: int, threshold: float, scratch: np.ndarray):
+def _refit(xyz: np.ndarray, inliers: np.ndarray, m: int, threshold: float, scratch: np.ndarray,
+           weighted: np.ndarray):
     # The least-squares plane of the m points where `inliers` holds, as its
     # unit normal and centroid, and the mask of the points within the
-    # threshold of it.  Rows 0-2 of the (9, N) `mom` hold every point's offset
-    # from one inlier and rows 3-8 the offsets' products xx, xy, xz, yy, yz,
-    # zz, so one product with the inlier weights sums the set's first and
-    # second moments, and the set is never gathered.  The (N,) `scratch`
-    # holds the weights, then the residuals.
+    # threshold of it.  The (3, N) xyz holds every point's offset from one
+    # inlier, and the (3, N) `weighted` takes xyz times the inlier weights w,
+    # so xyz @ w and weighted @ xyz.T sum the set's first and second
+    # moments, and the set is never gathered.  The (N,) `scratch` holds the
+    # weights, then the residuals.
     np.copyto(scratch, inliers)
-    moments = mom @ scratch
-    centroid = moments[:3] / m
-    scatter = moments[_SECOND_MOMENTS] - m * np.outer(centroid, centroid)
+    np.multiply(xyz, scratch, out=weighted)
+    centroid = (xyz @ scratch) / m
+    scatter = weighted @ xyz.T - m * np.outer(centroid, centroid)
     _, vecs = np.linalg.eigh(scatter)
     normal = _canonical_sign(vecs[:, 0])  # eigenvector of the smallest eigenvalue
     normal = normal / np.linalg.norm(normal)
-    return normal, centroid, _within(normal, mom[:3], normal @ centroid, threshold, scratch)
+    return normal, centroid, _within(normal, xyz, normal @ centroid, threshold, scratch)
 
 
 def _within(normal: np.ndarray, xyz: np.ndarray, offset: float, threshold: float,
@@ -281,25 +277,23 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     than 3 points, the schedule ends at the last plane with at least 3
     points within the threshold.
 
-    The fit works on one (9, N) array of the valid points, their offsets
-    from one inlier and the offsets' six products, and one (N,) scratch row.
-    Each refit takes its plane from the inlier-weighted moments of that
-    array, so no refit gathers the inlier set.  The reported plane is the
-    refit plane that chose the final inliers: they are exactly the valid
-    points within the threshold of it.
+    The fit works on one (3, N) copy of the valid points, turned into their
+    offsets from one inlier, one (3, N) buffer that every refit reuses and
+    one (N,) scratch row.  Each refit takes its plane from the
+    inlier-weighted moments of the offsets, so no refit gathers the inlier
+    set.  The reported plane is the refit plane that chose the final
+    inliers: they are exactly the valid points within the threshold of it.
 
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple degenerate).
     """
-    mom = np.empty((9, len(cloud.points)))
-    xyz = mom[:3]
+    xyz = np.empty((3, len(cloud.points)))
     xyz[...] = cloud.points.T
     finite = np.isfinite(xyz).all(axis=0)
     valid_idx = None  # every point is valid
     if not finite.all():
         valid_idx = np.flatnonzero(finite)
-        mom = np.empty((9, valid_idx.size))
-        xyz = xyz.take(valid_idx, axis=1, out=mom[:3])
+        xyz = xyz.take(valid_idx, axis=1)
     if xyz.shape[1] < 3:
         raise ValueError("plane fit failed: need at least 3 valid points")
     best, _ = _best_hypothesis(xyz, threshold, np.random.default_rng(seed))
@@ -312,11 +306,10 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     if count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
 
-    # from here on rows 0-2 hold offsets from the first inlier
+    # from here on xyz holds offsets from the first inlier
     origin = xyz[:, np.argmax(fitted)].copy()
     xyz -= origin[:, None]
-    for row, (a, b) in enumerate(itertools.combinations_with_replacement(xyz, 2), start=3):
-        np.multiply(a, b, out=mom[row])
+    weighted = np.empty_like(xyz)  # a refit's offsets times its weights
     # Refit on a shrinking threshold (Lebeda, Matas & Chum 2012).  The first
     # refit plane L keeps at least 3 points within the threshold t: the
     # winning triple's plane S has residual 0 on its own 3 points, which are
@@ -334,7 +327,8 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     # schedule at the last plane with at least 3 points within t of it.
     final, planes = fitted, []
     for factor in REFIT_SCHEDULE:
-        normal, centroid, final = _refit(mom, final, count, factor * threshold, scratch)
+        normal, centroid, final = _refit(xyz, final, count, factor * threshold, scratch,
+                                         weighted)
         count = np.count_nonzero(final)
         planes.append((normal, centroid))
         if count < 3:
@@ -348,7 +342,7 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
         count = np.count_nonzero(final)
     # the plane that chose `final` passes through origin + centroid
     d = -(float(normal @ centroid) + float(normal @ origin))
-    del mom, xyz, scratch  # release the (9, N) array before the index array is made
+    del xyz, weighted, scratch  # release the (3, N) arrays before the index array is made
     inliers = np.flatnonzero(final)
     return PlaneModel(normal, d, inliers if valid_idx is None else valid_idx[inliers])
 
@@ -411,11 +405,21 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
 
 
 def detect_ground(cloud: PointCloud, bounds: WorkspaceBounds, seed: int = 0) -> GroundEstimate:
-    """Full detection pipeline: workspace filter, band refinement, plane fit."""
-    inside = workspace_filter(cloud, bounds)
-    if len(inside) == 0:
+    """Full detection pipeline: workspace filter, band refinement, plane fit.
+
+    The band is refined on the crop's z order and sorted z alone, and only
+    its rows are gathered from the cloud, so the crop's points are never
+    built; the fit sees exactly the rows of
+    refine_ground_band(workspace_filter(cloud, bounds)).  Once the band is
+    gathered this function holds no reference to the cloud, so a caller
+    that passes its only reference has the cloud freed before the fit.
+    """
+    order, z = _crop_order(cloud, bounds)
+    if order.size == 0:
         raise ValueError("no points inside the workspace bounds")
-    band = refine_ground_band(inside)
+    lo, hi = _band_passes(z)[-1]
+    band = PointCloud(cloud.points.take(order[lo:hi], axis=0))
+    del cloud, order, z
     plane = fit_plane_ransac(band, seed=seed)
     return extract_ground_estimate(plane, band)
 

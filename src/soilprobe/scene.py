@@ -85,7 +85,9 @@ def generate_pot_scene(
     The truth estimate carries the ideal soil plane, the true surface
     center, the nearest reachable soil point and the probing approach
     point; its inlier indices are the soil points that survived occlusion
-    (they come first in the returned cloud).
+    (they come first in the returned cloud).  The parts follow in the
+    order soil, rim, wall, foliage, table, each written straight into its
+    rows of the one (N, 3) array the cloud holds.
     """
     rng = np.random.default_rng(seed)
     azimuth = params.view_azimuth
@@ -96,52 +98,59 @@ def generate_pot_scene(
     r = SOIL_RADIUS * np.sqrt(rng.uniform(0.0, 1.0, params.n_soil))
     th = rng.uniform(0.0, 2.0 * math.pi, params.n_soil)
     z = SOIL_Z + rng.uniform(-0.5, 0.5, params.n_soil) * params.roughness
-    soil = np.column_stack([r * np.cos(th), r * np.sin(th), z])
 
     # far-side outer soil hidden behind the rim for a low camera
     hidden_center = azimuth + math.pi
     hidden = (r >= OCCLUSION_INNER_RADIUS) & (
         np.abs(_wrap_angle(th - hidden_center)) <= OCCLUSION_HALF_ANGLE
     )
-    soil = soil[~hidden]
+    visible = np.flatnonzero(~hidden)
+    n_soil = visible.size
+    n = n_soil + params.n_rim + params.n_wall + params.n_foliage + params.n_table
+    points = np.empty((n, 3))
+    soil = points[:n_soil]
+    soil[:, 0] = (r * np.cos(th))[visible]
+    soil[:, 1] = (r * np.sin(th))[visible]
+    soil[:, 2] = z[visible]
+    del r, th, z, hidden, visible
+    rim, wall, fol, table = np.split(
+        points[n_soil:], np.cumsum([params.n_rim, params.n_wall, params.n_foliage]))
 
     # rim ring at the pot top
     r_rim = rng.uniform(SOIL_RADIUS, POT_RADIUS, params.n_rim)
     th_rim = rng.uniform(0.0, 2.0 * math.pi, params.n_rim)
-    z_rim = POT_HEIGHT + rng.uniform(-0.002, 0.002, params.n_rim)
-    rim = np.column_stack([r_rim * np.cos(th_rim), r_rim * np.sin(th_rim), z_rim])
+    rim[:, 0] = r_rim * np.cos(th_rim)
+    rim[:, 1] = r_rim * np.sin(th_rim)
+    rim[:, 2] = POT_HEIGHT + rng.uniform(-0.002, 0.002, params.n_rim)
 
     # inner wall: the far half-arc a camera sees between soil and rim
     th_wall = hidden_center + rng.uniform(-0.5 * math.pi, 0.5 * math.pi, params.n_wall)
-    z_wall = rng.uniform(SOIL_Z, POT_HEIGHT, params.n_wall)
+    wall[:, 2] = rng.uniform(SOIL_Z, POT_HEIGHT, params.n_wall)
     r_wall = SOIL_RADIUS + rng.uniform(0.0, RIM_WIDTH, params.n_wall)
-    wall = np.column_stack([r_wall * np.cos(th_wall), r_wall * np.sin(th_wall), z_wall])
+    wall[:, 0] = r_wall * np.cos(th_wall)
+    wall[:, 1] = r_wall * np.sin(th_wall)
 
     # foliage: a loose canopy above the soil around an offset stem
     stem = rng.uniform(-0.02, 0.02, 2)
     r_fol = np.abs(rng.normal(0.0, 0.035, params.n_foliage))
     th_fol = rng.uniform(0.0, 2.0 * math.pi, params.n_foliage)
-    z_fol = SOIL_Z + rng.uniform(0.01, FOLIAGE_HEIGHT, params.n_foliage)
-    fol = np.column_stack(
-        [
-            np.clip(stem[0] + r_fol * np.cos(th_fol), -0.09, 0.09),
-            np.clip(stem[1] + r_fol * np.sin(th_fol), -0.09, 0.09),
-            z_fol,
-        ]
-    )
+    fol[:, 2] = SOIL_Z + rng.uniform(0.01, FOLIAGE_HEIGHT, params.n_foliage)
+    np.clip(stem[0] + r_fol * np.cos(th_fol), -0.09, 0.09, out=fol[:, 0])
+    np.clip(stem[1] + r_fol * np.sin(th_fol), -0.09, 0.09, out=fol[:, 1])
 
     # table annulus around the pot
     r_tab = np.sqrt(rng.uniform((POT_RADIUS + 0.01) ** 2, TABLE_RADIUS**2, params.n_table))
     th_tab = rng.uniform(0.0, 2.0 * math.pi, params.n_table)
-    z_tab = rng.uniform(-1.0, 1.0, params.n_table) * TABLE_NOISE
-    table = np.column_stack([r_tab * np.cos(th_tab), r_tab * np.sin(th_tab), z_tab])
+    table[:, 2] = rng.uniform(-1.0, 1.0, params.n_table) * TABLE_NOISE
+    table[:, 0] = r_tab * np.cos(th_tab)
+    table[:, 1] = r_tab * np.sin(th_tab)
 
-    cloud = PointCloud(np.vstack([soil, rim, wall, fol, table]))
+    cloud = PointCloud(points)
 
     plane = PlaneModel(
         normal=np.array([0.0, 0.0, 1.0]),
         d=-SOIL_Z,
-        inlier_indices=np.arange(soil.shape[0]),
+        inlier_indices=np.arange(n_soil),
     )
     center = Point3(0.0, 0.0, SOIL_Z)
     near = Point3(0.0, -SOIL_RADIUS, SOIL_Z)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soilprobe import ground
-from soilprobe.cloud import PointCloud, load_cloud, save_cloud, workspace_filter
+from soilprobe.cloud import PointCloud, WorkspaceBounds, load_cloud, save_cloud, workspace_filter
 from soilprobe.ground import (
     BAND_WIDTHS,
     DRAW_BLOCK,
@@ -709,6 +709,47 @@ def test_detect_ground_on_synthetic_scene():
     assert est.plane.inlier_count > 1000
 
 
+# A box with its faces at +-1: the coordinates below put points on them
+BOX = WorkspaceBounds(x_min=-1.0, x_max=1.0, y_max=1.0, z_min=-1.0, z_max=1.0)
+BOX_COORDS = st.one_of(
+    st.sampled_from([-1.0, 1.0, 0.0, -0.0, 0.25, -0.25, np.nan, np.inf, -np.inf]),
+    st.floats(-1.5, 1.5),
+)
+
+
+class FitEntered(Exception):
+    pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=BOX_COORDS))
+@example(np.round(generate_pot_scene(seed=3)[0].points, 3))  # ties, -0.0 among them
+@example(np.array([[0.0, 0.0, 0.5], [2.0, 0.0, 0.5], [0.0, 0.0, np.nan]]))
+@example(np.array([[1.0, 0.0, 0.5], [0.0, 0.0, -1.0], [np.inf, 0.0, 0.0]]))  # empty crop
+def test_detect_ground_fits_the_band_of_the_crop(points):
+    # detect_ground refines the band on the crop's z order alone and gathers
+    # only the band's rows: the rows it fits are those of the band of
+    # workspace_filter's crop, bit for bit
+    cloud = PointCloud(points)
+    inside = workspace_filter(cloud, BOX)
+    fitted = []
+
+    def capture(band, **kwargs):
+        fitted.append(band.points.copy())
+        raise FitEntered
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ground, "fit_plane_ransac", capture)
+        if len(inside) == 0:
+            with pytest.raises(ValueError, match="no points inside the workspace bounds"):
+                detect_ground(cloud, BOX)
+            return
+        with pytest.raises(FitEntered):
+            detect_ground(cloud, BOX)
+    want = refine_ground_band(inside).points
+    assert fitted[0].shape == want.shape and fitted[0].tobytes() == want.tobytes()
+
+
 def test_approach_depth_accuracy_is_guarded():
     # The approach point's depth error (detected minus true depth), pooled
     # over scene seeds 0-49 and RANSAC seeds s + 1000 k, k = 0..3.  The fit
@@ -803,7 +844,7 @@ ESTIMATE_DIGESTS = (
 )
 # sha256 of the float.hex() of the same 20 estimates' surface depth at the
 # approach point, one per line: the depth the pipeline hands the controller
-DEPTH_DIGEST = "2d6b05f8b0b4e06f2c802508318a1480507ecd1e3b635d12da6e2a7b40a90ce4"
+DEPTH_DIGEST = "d08068ae75a67f79c907f69475f015d7fef927dcd57a027b69366bb21e396a8a"
 # the estimate digest and the depth for seed 100 of a scene at 16x the
 # default counts (~95k points), with ~5% of rows set to NaN, read back
 # through save_cloud/load_cloud
@@ -811,7 +852,7 @@ DENSE_ESTIMATE_DIGEST = "5fc565ef9470f0a1cdafa3a4244145ccaadae33f27cdf75a8737576
 DENSE_DEPTH = "-0x1.99531258323c5p-4"
 # sha256 of each estimate's text and its depth's float.hex() (as above), one
 # scene after the other, for s = 0..99 of quantized_scene(s)
-QUANTIZED_DIGEST = "755fa652a2dbc75f71c0ce8d7ecad4d12ea35950f171b41c8bfee17c7a00a6f0"
+QUANTIZED_DIGEST = "62a8f702f9225d728da8350d7c7d6b38c142b5c226eef1ba3dbb8dcdfc9ee99b"
 
 
 def sha256(text):

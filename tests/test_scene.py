@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,36 @@ def test_fixed_view_azimuth_pins_occlusion():
 def test_params_validation():
     with pytest.raises(ValueError, match="roughness"):
         PotSceneParams(roughness=-0.01)
+
+
+_DEFAULT = PotSceneParams()
+# 16x the default counts, ~95k points: the benchmark's dense scene
+_DENSE = PotSceneParams(n_soil=16 * _DEFAULT.n_soil, n_rim=16 * _DEFAULT.n_rim,
+                        n_wall=16 * _DEFAULT.n_wall, n_foliage=16 * _DEFAULT.n_foliage,
+                        n_table=16 * _DEFAULT.n_table)
+# flat soil, no foliage and a fixed view: an empty part and no azimuth draw
+_FLAT = PotSceneParams(roughness=0.0, n_foliage=0, view_azimuth=1.0)
+
+# sha256 of a scene's point bytes followed by its truth inlier indices as
+# int64, per parameter set and seed; any change to the generator's draws,
+# their order or its arithmetic moves them
+SCENE_DIGESTS = {
+    ("default", 0): "6587e9cf67de9e61ad00775c3e6638861fc2fc94a56b4b9c76f0003581037154",
+    ("default", 7): "5599e6cd34dbb55827e4c1b36d87f0fb5e6e5151c91a79bda82cfdbc48a97208",
+    ("default", 100): "ff7be43edecf9f7cf94f6bf1ffe17be19233f45176dff69e2cd2711d791041ed",
+    ("dense", 0): "f769d835c68b6a533c115faeed050b0615643c39cae055bf0a7858d85c8ae6ab",
+    ("dense", 7): "4f3072232abee53140e503e55773fcb04460f61e8ac9a84d0d3b92982b429a36",
+    ("dense", 100): "d105caab32035930bb147271e1793228e0095035438cc74eee54c09352d07e5e",
+    ("flat", 0): "80d4876821b15903ec44f19d2e42af8a481487d4f59fcbea2b5158604fd521ad",
+    ("flat", 7): "d74353d9cf7adda6e0dbe57e5c50264e1da10951d0d714bccd84cc8325e3e76d",
+    ("flat", 100): "7bfe5eb91d56bcf3b1d41c1547d6fa7eba99189a48225faaa65c8171edb06cd4",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(SCENE_DIGESTS))
+def test_scene_bytes_are_pinned(name, seed):
+    params = {"default": _DEFAULT, "dense": _DENSE, "flat": _FLAT}[name]
+    cloud, truth = generate_pot_scene(params, seed=seed)
+    assert cloud.points.dtype == np.float64 and cloud.points.flags.c_contiguous
+    data = cloud.points.tobytes() + truth.plane.inlier_indices.astype(np.int64).tobytes()
+    assert hashlib.sha256(data).hexdigest() == SCENE_DIGESTS[name, seed]
