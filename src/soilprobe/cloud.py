@@ -59,12 +59,23 @@ class WorkspaceBounds:
             raise ValueError("z_min must be below z_max")
 
 
+# The most points a crop keeps.  The surface is only roughly estimated from
+# the camera, and a dense cloud's extra points buy no accuracy, so a larger
+# crop is thinned to an even stride of its points, as fit_plane_ransac
+# scores hypotheses on a stride.  Every default scene's crop (at most about
+# 4.8k points) is below it and kept whole.
+CROP_POINTS = 6144
+
+
 def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
     """Keep the valid points inside the workspace box, sorted by ascending z.
 
     Boundary points are excluded (all comparisons strict), points with a NaN
-    or infinite coordinate are dropped.  An empty result is legal; callers
-    decide whether that is fatal.
+    or infinite coordinate are dropped.  When n > CROP_POINTS points pass,
+    only every ceil(n / CROP_POINTS)-th of them in input order, starting
+    with the first, is kept and sorted: an even stride of at most
+    CROP_POINTS points.  An empty result is legal; callers decide whether
+    that is fatal.
     """
     order, _ = _crop_order(cloud, bounds)
     # take gathers rows faster than fancy indexing, with the same values
@@ -74,7 +85,8 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
 def _crop_order(cloud: PointCloud, bounds: WorkspaceBounds) -> tuple[np.ndarray, np.ndarray]:
     """The crop of workspace_filter without its points: the indices into
     `cloud` of the rows it keeps, in its order, and their z values in that
-    order, as one contiguous array."""
+    order, as one contiguous array.  The stride to CROP_POINTS is taken
+    here, so detect_ground and workspace_filter keep the same rows."""
     x, y, z = cloud.points.T
     # NaN fails every strict comparison and +-inf fails the two-sided x and z
     # tests; y = -inf is the one non-finite value the box itself lets through.
@@ -87,6 +99,8 @@ def _crop_order(cloud: PointCloud, bounds: WorkspaceBounds) -> tuple[np.ndarray,
         & (z < bounds.z_max)
     )
     idx = np.flatnonzero(keep)
+    if idx.size > CROP_POINTS:
+        idx = idx[::-(-idx.size // CROP_POINTS)]
     order, ranked = _stable_order(z[idx])
     return idx.take(order), ranked
 

@@ -103,8 +103,14 @@ class ScenarioConfig:
             raise ValueError("approach speeds must be positive")
         if self.decel_band <= 0:
             raise ValueError("decel_band must be positive")
+        # the probe hands over to force control once the measured force
+        # reaches contact_threshold, so it must lie below a positive setpoint
+        if self.force_setpoint <= 0:
+            raise ValueError("force_setpoint must be positive")
         if self.contact_threshold < 0:
             raise ValueError("contact_threshold must be non-negative")
+        if self.contact_threshold >= self.force_setpoint:
+            raise ValueError("contact_threshold must be below force_setpoint")
         # instantiating the component models validates the remaining fields
         self.impedance_params()
         self.adaptation_params()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soilprobe.cloud import (
+    CROP_POINTS,
     CSV_CHUNK_ROWS,
     PointCloud,
     WorkspaceBounds,
@@ -71,8 +72,9 @@ def test_workspace_filter_drops_nan_and_sorts():
 
 
 def reference_workspace_filter(cloud, bounds):
-    # the crop's definition: finite rows strictly inside the box, then a
-    # stable sort by z
+    # the crop's definition: finite rows strictly inside the box; of more
+    # than CROP_POINTS of them, the first of every ceil(n / CROP_POINTS);
+    # then a stable sort by z
     pts = cloud.points
     keep = (
         np.isfinite(pts).all(axis=1)
@@ -83,6 +85,8 @@ def reference_workspace_filter(cloud, bounds):
         & (pts[:, 2] < bounds.z_max)
     )
     kept = cloud.select(keep)
+    if len(kept) > CROP_POINTS:
+        kept = kept.select(np.arange(len(kept)) % math.ceil(len(kept) / CROP_POINTS) == 0)
     return kept.select(np.argsort(kept.z, kind="stable"))
 
 
@@ -104,6 +108,22 @@ _z[:600] = np.repeat(_rng.uniform(-0.05, 0.16, 30), 20)
 _z[600:620] = np.tile([0.0, -0.0], 10)
 SPARSE_TIES_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, 3000), _rng.uniform(-0.3, 0.19, 3000),
                                      _rng.permutation(_z)])
+# points inside both boxes, so that the crop holds all of them: exactly
+# CROP_POINTS, and one more, which halves the crop
+_inside = np.column_stack([_rng.uniform(-0.19, 0.19, CROP_POINTS + 1),
+                           _rng.uniform(-0.19, 0.19, CROP_POINTS + 1),
+                           _rng.uniform(0.001, 0.16, CROP_POINTS + 1)])
+BUDGET_CLOUD, OVER_BUDGET_CLOUD = _inside[:-1], _inside
+# about 3 CROP_POINTS rows, a tenth of them outside the box, with 5% NaN
+# rows and z quantized to 1 mm, with -0.0 and 0.0 among the ties: the crop
+# keeps every second of the points that pass BOUNDS and every third of
+# those that pass LOW_BOUNDS, then sorts their ties
+_n = 3 * CROP_POINTS + 700
+_z = np.round(_rng.uniform(-0.05, 0.16, _n), 3)
+_z[_rng.random(_n) < 0.02] = 0.0
+_z[_rng.random(_n) < 0.02] = -0.0
+DENSE_TIES_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, _n), _rng.uniform(-0.3, 0.25, _n), _z])
+DENSE_TIES_CLOUD[_rng.random(_n) < 0.05] = np.nan
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -115,6 +135,9 @@ SPARSE_TIES_CLOUD = np.column_stack([_rng.uniform(-0.19, 0.19, 3000), _rng.unifo
                                   np.tile([0.05, 0.02, 0.1], 20)]))  # ties in z keep input order
 @example(points=QUANTIZED_CLOUD)
 @example(points=SPARSE_TIES_CLOUD)
+@example(points=BUDGET_CLOUD)
+@example(points=OVER_BUDGET_CLOUD)
+@example(points=DENSE_TIES_CLOUD)
 @example(points=np.array([[0.0, 0.0, 0.0], [0.01, 0.0, -0.0], [0.02, 0.0, 0.0],
                           [0.03, 0.0, -0.0], [0.04, 0.0, 0.05]]))  # -0.0 ties 0.0
 @example(points=np.array([[0.3, 0.0, 0.05], [0.0, 0.0, 0.2]]))  # nothing kept

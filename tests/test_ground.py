@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from soilprobe import ground
-from soilprobe.cloud import PointCloud, WorkspaceBounds, load_cloud, save_cloud, workspace_filter
+from soilprobe.cloud import (
+    CROP_POINTS,
+    PointCloud,
+    WorkspaceBounds,
+    load_cloud,
+    save_cloud,
+    workspace_filter,
+)
 from soilprobe.ground import (
     BAND_WIDTHS,
     DRAW_BLOCK,
@@ -790,6 +797,90 @@ def test_depth_camera_clouds_meet_criterion_01():
     assert np.std(x_c) <= 7e-3 and np.std(y_c) <= 7e-3
 
 
+def dense_nan_scene(seed):
+    # the benchmark's input: a scene at 16x the default counts with about 5%
+    # of its rows set to NaN, and its truth
+    cloud, truth = generate_pot_scene(dense_scene_params(), seed=seed)
+    points = cloud.points
+    points[np.random.default_rng(seed).random(len(points)) < 0.05] = np.nan
+    return points, truth
+
+
+def approach_depth_error_mm(points, truth, seed):
+    # detected minus true depth at the detected approach point
+    est = detect_ground(PointCloud(points), scene_bounds(), seed=seed)
+    x, y = est.approach.x, est.approach.y
+    return (truth.z_at(x, y) - est.z_at(x, y)) * 1e3
+
+
+# Dense scenes whose crop (about 71k points) is thinned to CROP_POINTS.  On
+# the full crop, one fit per scene (RANSAC seed = scene seed) read: mean
+# -0.1431, std 0.2539, max |err| 1.0149 mm.  Each bound is that figure plus
+# the tolerance of test_approach_depth_accuracy_is_guarded.
+DENSE_SEEDS = range(2000, 2030)
+DENSE_MEAN, DENSE_STD, DENSE_MAX = 0.1431 + 0.03, 0.2539 + 0.03, 1.0149 + 0.1
+
+
+def in_scene_box(points):
+    # the box test of the crop to scene_bounds(), before its budget
+    b = scene_bounds()
+    x, y, z = points.T
+    return (x > b.x_min) & (x < b.x_max) & (y < b.y_max) & (z > b.z_min) & (z < b.z_max)
+
+
+def organized_grid_order(points):
+    # The row order of an organized depth image: the crop's points in rows of
+    # increasing y, each row ordered by x, then the rows the crop drops.  The
+    # width is a multiple of the crop's stride, so every image row starts on
+    # a kept point and the stride takes the same columns of every row.
+    x, y = points[:, 0], points[:, 1]
+    inside = in_scene_box(points)
+    grid = np.flatnonzero(inside)
+    stride = math.ceil(grid.size / CROP_POINTS)
+    assert stride > 1
+    width = 20 * stride
+    grid = grid[np.argsort(y[grid])]
+    full = grid.size - grid.size % width
+    rows = grid[:full].reshape(-1, width)
+    grid[:full] = np.take_along_axis(rows, np.argsort(x[rows], axis=1), axis=1).ravel()
+    grid[full:] = grid[full:][np.argsort(x[grid[full:]])]
+    return np.concatenate([grid, np.flatnonzero(~inside)])
+
+
+ROW_ORDERS = {
+    "as made": None,
+    "organized grid": organized_grid_order,
+    "sorted by z": lambda points: np.argsort(points[:, 2]),
+    "sorted by x": lambda points: np.argsort(points[:, 0]),
+}
+
+
+def test_dense_depth_accuracy_is_guarded_in_any_row_order():
+    # The crop's stride could alias on a periodic row order, so each order of
+    # the same dense points is held to the bounds of the points as made.
+    errors = {name: [] for name in ROW_ORDERS}
+    for s in DENSE_SEEDS:
+        points, truth = dense_nan_scene(s)
+        for name, order in ROW_ORDERS.items():
+            ordered = points if order is None else points[order(points)]
+            errors[name].append(approach_depth_error_mm(ordered, truth, s))
+    for name, errs in errors.items():
+        errs = np.array(errs)
+        figures = f"{name}: mean {errs.mean():.4f}, std {errs.std():.4f}, max {np.abs(errs).max():.4f} mm"
+        assert abs(errs.mean()) <= DENSE_MEAN, figures
+        assert errs.std() <= DENSE_STD, figures
+        assert np.abs(errs).max() <= DENSE_MAX, figures
+
+
+def test_default_scene_crops_are_kept_whole():
+    # Every default scene's crop is below CROP_POINTS, so the crop keeps all
+    # of it and its estimate bytes do not depend on the budget.  On seeds
+    # 0-299 the largest crop holds 4756 points.
+    largest = max(np.count_nonzero(in_scene_box(generate_pot_scene(seed=s)[0].points))
+                  for s in range(300))
+    assert largest < CROP_POINTS
+
+
 def test_detect_ground_empty_workspace_errors():
     cloud = PointCloud([[5.0, 5.0, 5.0]])
     with pytest.raises(ValueError, match="no points inside"):
@@ -847,9 +938,9 @@ ESTIMATE_DIGESTS = (
 DEPTH_DIGEST = "d08068ae75a67f79c907f69475f015d7fef927dcd57a027b69366bb21e396a8a"
 # the estimate digest and the depth for seed 100 of a scene at 16x the
 # default counts (~95k points), with ~5% of rows set to NaN, read back
-# through save_cloud/load_cloud
-DENSE_ESTIMATE_DIGEST = "5fc565ef9470f0a1cdafa3a4244145ccaadae33f27cdf75a873757681abdd156"
-DENSE_DEPTH = "-0x1.99531258323c5p-4"
+# through save_cloud/load_cloud, whose crop is thinned to CROP_POINTS
+DENSE_ESTIMATE_DIGEST = "466311e4d4e392cc05b9fd2b51191f7fc647f320398d7f114a078394c341d4ae"
+DENSE_DEPTH = "-0x1.9993d6de51568p-4"
 # sha256 of each estimate's text and its depth's float.hex() (as above), one
 # scene after the other, for s = 0..99 of quantized_scene(s)
 QUANTIZED_DIGEST = "62a8f702f9225d728da8350d7c7d6b38c142b5c226eef1ba3dbb8dcdfc9ee99b"
@@ -869,10 +960,8 @@ def test_estimate_bytes_are_pinned():
 
 
 def test_dense_cloud_estimate_bytes_are_pinned(tmp_path):
-    points = generate_pot_scene(dense_scene_params(), seed=100)[0].points.copy()
-    points[np.random.default_rng(100).random(len(points)) < 0.05] = np.nan
     path = tmp_path / "dense.txt"
-    save_cloud(PointCloud(points), path)
+    save_cloud(PointCloud(dense_nan_scene(100)[0]), path)
     cloud = load_cloud(path)
     assert np.isnan(cloud.points).any(axis=1).sum() > 4000
     est = detect_ground(cloud, scene_bounds(), seed=100)
