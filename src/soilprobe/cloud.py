@@ -55,6 +55,8 @@ class WorkspaceBounds:
         # written so that a NaN bound fails too
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
+        if not self.y_max > -math.inf:
+            raise ValueError("y_max must be above -inf")
         if not self.z_min < self.z_max:
             raise ValueError("z_min must be below z_max")
 
@@ -98,7 +100,7 @@ def _crop_order(cloud: PointCloud, bounds: WorkspaceBounds) -> tuple[np.ndarray,
         & (z > bounds.z_min)
         & (z < bounds.z_max)
     )
-    idx = np.flatnonzero(keep)
+    idx = keep.nonzero()[0]
     if idx.size > CROP_POINTS:
         idx = idx[::-(-idx.size // CROP_POINTS)]
     order, ranked = _stable_order(z[idx])
@@ -121,7 +123,7 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n = values.size
     order = np.argsort(values)
-    ranked = values[order]
+    ranked = values.take(order)
     tie = ranked[1:] == ranked[:-1]
     if not tie.any():
         return order, ranked

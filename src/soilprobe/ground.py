@@ -10,6 +10,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .cloud import PointCloud, WorkspaceBounds, _crop_order
 
@@ -100,15 +101,12 @@ def _best_bin(counts: list[int]) -> int:
     return scores.index(max(scores))
 
 
-def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
-    # The kept range [lo, hi) of ascending z after each pass.  Each pass
-    # bins z[lo:hi], picks the highest-scoring bin and keeps the points
-    # strictly within half a bin width of that bin's z range: on ascending z
-    # the bin's range is its first and last value, and the kept points are
-    # one contiguous range, found by two binary searches.
-    # One contiguous copy: a cloud's z is a strided column, which the check
-    # reads slowly and a memoryview cannot wrap.
-    z = np.ascontiguousarray(z)
+def _checked_z(cloud: PointCloud) -> np.ndarray:
+    # The cloud's z as one contiguous array, checked to be what _band_passes
+    # needs: non-empty, ascending and finite.  A contiguous copy, since a
+    # cloud's z is a strided column, which the check reads slowly and a
+    # memoryview cannot wrap.
+    z = np.ascontiguousarray(cloud.z)
     if z.size == 0:
         raise ValueError("no points to bin")
     if z.size > 1 and not (z[1:] >= z[:-1]).all():
@@ -117,6 +115,17 @@ def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError("band refinement needs the points sorted by ascending z")
     if not (math.isfinite(z[0]) and math.isfinite(z[-1])):
         raise ValueError("band refinement needs finite z values")
+    return z
+
+
+def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
+    # The kept range [lo, hi) of ascending z after each pass.  Each pass
+    # bins z[lo:hi], picks the highest-scoring bin and keeps the points
+    # strictly within half a bin width of that bin's z range: on ascending z
+    # the bin's range is its first and last value, and the kept points are
+    # one contiguous range, found by two binary searches.  z is a
+    # contiguous, non-empty, ascending and finite array, as _checked_z
+    # returns it and _crop_order builds it; it is not checked here.
     z = memoryview(z)
     lo, hi = 0, len(z)
     passes = []
@@ -141,14 +150,19 @@ def refinement_history(cloud: PointCloud) -> list[np.ndarray]:
     nested by construction.  The cloud must be sorted by ascending z with
     finite z values, as workspace_filter returns it; else ValueError.
     """
-    return [np.arange(lo, hi) for lo, hi in _band_passes(cloud.z)]
+    return [np.arange(lo, hi) for lo, hi in _band_passes(_checked_z(cloud))]
 
 
 def refine_ground_band(cloud: PointCloud) -> PointCloud:
     """Reduce a workspace cloud, sorted by ascending finite z as
     workspace_filter returns it, to the band around the dominant low
-    surface: a contiguous range of its points, in their input order."""
-    lo, hi = _band_passes(cloud.z)[-1]
+    surface: a contiguous range of its points, in their input order.
+
+    The cloud is checked here, once: an empty cloud, or one whose z is not
+    finite and ascending, raises ValueError.  detect_ground refines the z
+    of its own crop, which is all of that by construction, and skips the
+    check."""
+    lo, hi = _band_passes(_checked_z(cloud))[-1]
     return cloud.select(slice(lo, hi))
 
 
@@ -164,7 +178,8 @@ class PlaneModel:
         n = np.asarray(self.normal, dtype=float).reshape(3)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "inlier_indices", np.asarray(self.inlier_indices, dtype=int))
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+        # written so that a NaN or infinite normal fails too
+        if not abs(_norm(n) - 1.0) <= 1e-9:
             raise ValueError("plane normal must be unit length")
 
     @property
@@ -172,11 +187,28 @@ class PlaneModel:
         return int(self.inlier_indices.size)
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm(v) of a 1-D float array, bit for bit: the square root of
+    # v.dot(v), which is correctly rounded in math.sqrt as in np.sqrt.
+    return math.sqrt(v.dot(v))
+
+
+def _eigenvectors(scatter: np.ndarray) -> np.ndarray:
+    # np.linalg.eigh(scatter)[1] of a finite symmetric (3, 3) float array,
+    # bit for bit: the LAPACK gufunc that eigh calls, without eigh's
+    # Python-level checks.  Should LAPACK fail to converge, the vectors are
+    # NaN where eigh would raise: such a plane holds no point within any
+    # threshold, so the refit schedule drops it, and PlaneModel rejects a
+    # NaN normal.
+    return _umath_linalg.eigh_lo(scatter, signature="d->dd")[1]
+
+
 def _canonical_sign(normal: np.ndarray) -> np.ndarray:
     # Deterministic orientation: prefer +z, fall back lexicographically.
+    values = normal.tolist()
     for axis in (2, 1, 0):
-        if abs(normal[axis]) > 1e-12:
-            return normal if normal[axis] > 0 else -normal
+        if abs(values[axis]) > 1e-12:
+            return normal if values[axis] > 0 else -normal
     return normal
 
 
@@ -192,10 +224,10 @@ def _refit(xyz: np.ndarray, inliers: np.ndarray, m: int, threshold: float, scrat
     np.copyto(scratch, inliers)
     np.multiply(xyz, scratch, out=weighted)
     centroid = (xyz @ scratch) / m
-    scatter = weighted @ xyz.T - m * np.outer(centroid, centroid)
-    _, vecs = np.linalg.eigh(scatter)
-    normal = _canonical_sign(vecs[:, 0])  # eigenvector of the smallest eigenvalue
-    normal = normal / np.linalg.norm(normal)
+    scatter = weighted @ xyz.T - m * (centroid[:, None] * centroid)  # np.outer's product
+    # the eigenvector of the smallest eigenvalue
+    normal = _canonical_sign(_eigenvectors(scatter)[:, 0])
+    normal = normal / _norm(normal)
     return normal, centroid, _within(normal, xyz, normal @ centroid, threshold, scratch)
 
 
@@ -231,7 +263,7 @@ def _best_hypothesis(xyz: np.ndarray, threshold: float, rng: np.random.Generator
     n = xyz.shape[1]
     sample = np.ascontiguousarray(xyz[:, :: -(-n // SCORE_POINTS)])
     s = sample.shape[1]
-    scale = float(np.linalg.norm(xyz.max(axis=1) - xyz.min(axis=1))) or 1.0
+    scale = _norm(xyz.max(axis=1) - xyz.min(axis=1)) or 1.0
     best_count = 0
     best = None
     needed = RANSAC_MAX_DRAWS
@@ -244,7 +276,7 @@ def _best_hypothesis(xyz: np.ndarray, threshold: float, rng: np.random.Generator
         bx, by, bz = xk - xi, yk - yi, zk - zi
         nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
         norm = np.sqrt(nx * nx + ny * ny + nz * nz)
-        kept = np.flatnonzero(norm >= 1e-12 * scale * scale)  # drop degenerate triples
+        kept = (norm >= 1e-12 * scale * scale).nonzero()[0]  # drop degenerate triples
         normals = np.array((nx[kept], ny[kept], nz[kept])) / norm[kept]
         offsets = normals[0] * xi[kept] + normals[1] * yi[kept] + normals[2] * zi[kept]
         counts = np.count_nonzero(np.abs(normals.T @ sample - offsets[:, None]) < threshold, axis=1)
@@ -284,15 +316,20 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     set.  The reported plane is the refit plane that chose the final
     inliers: they are exactly the valid points within the threshold of it.
 
+    The points are checked here, once: a point with a NaN or infinite
+    coordinate is not valid and takes no part in the fit.  The whole copy
+    is tested in one pass, and the valid points are sought point by point
+    only when some value is not finite, which never happens on the band
+    detect_ground passes, since its crop keeps finite points only.
+
     Deterministic for a fixed seed.  Raises ValueError when no valid plane
     can be found (fewer than 3 points, or every sampled triple degenerate).
     """
     xyz = np.empty((3, len(cloud.points)))
     xyz[...] = cloud.points.T
-    finite = np.isfinite(xyz).all(axis=0)
     valid_idx = None  # every point is valid
-    if not finite.all():
-        valid_idx = np.flatnonzero(finite)
+    if not np.isfinite(xyz).all():
+        valid_idx = np.isfinite(xyz).all(axis=0).nonzero()[0]
         xyz = xyz.take(valid_idx, axis=1)
     if xyz.shape[1] < 3:
         raise ValueError("plane fit failed: need at least 3 valid points")
@@ -307,7 +344,7 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
         raise ValueError("plane fit failed: no plane consensus found")
 
     # from here on xyz holds offsets from the first inlier
-    origin = xyz[:, np.argmax(fitted)].copy()
+    origin = xyz[:, fitted.argmax()].copy()
     xyz -= origin[:, None]
     weighted = np.empty_like(xyz)  # a refit's offsets times its weights
     # Refit on a shrinking threshold (Lebeda, Matas & Chum 2012).  The first
@@ -343,7 +380,7 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     # the plane that chose `final` passes through origin + centroid
     d = -(float(normal @ centroid) + float(normal @ origin))
     del xyz, weighted, scratch  # release the (3, N) arrays before the index array is made
-    inliers = np.flatnonzero(final)
+    inliers = final.nonzero()[0]
     return PlaneModel(normal, d, inliers if valid_idx is None else valid_idx[inliers])
 
 
@@ -374,7 +411,8 @@ def _row_medians(rows: np.ndarray) -> np.ndarray:
     # np.median selects at three.
     m = rows.shape[1]
     h = m // 2
-    part = np.partition(rows, h, axis=1)
+    part = rows.copy()
+    part.partition(h, axis=1)
     upper = part[:, h]
     if m % 2:
         med, zero = upper, upper == 0
@@ -410,9 +448,11 @@ def detect_ground(cloud: PointCloud, bounds: WorkspaceBounds, seed: int = 0) -> 
     The band is refined on the crop's z order and sorted z alone, and only
     its rows are gathered from the cloud, so the crop's points are never
     built; the fit sees exactly the rows of
-    refine_ground_band(workspace_filter(cloud, bounds)).  Once the band is
-    gathered this function holds no reference to the cloud, so a caller
-    that passes its only reference has the cloud freed before the fit.
+    refine_ground_band(workspace_filter(cloud, bounds)).  The crop's z is
+    non-empty, ascending and finite by construction, so the band search
+    skips refine_ground_band's check of it.  Once the band is gathered this
+    function holds no reference to the cloud, so a caller that passes its
+    only reference has the cloud freed before the fit.
     """
     order, z = _crop_order(cloud, bounds)
     if order.size == 0:

@@ -159,6 +159,10 @@ def test_bounds_validation():
     for nan_box in ((math.nan, 0.2, 0.2, 0.0, 0.17), (-0.2, 0.2, 0.2, 0.0, math.nan)):
         with pytest.raises(ValueError):
             WorkspaceBounds(*nan_box)
+    # a NaN or -inf y_max would empty every crop
+    for y_box in ((-0.2, 0.2, math.nan, 0.0, 0.17), (-0.2, 0.2, -math.inf, 0.0, 0.17)):
+        with pytest.raises(ValueError, match="y_max"):
+            WorkspaceBounds(*y_box)
 
 
 def test_text_roundtrip(tmp_path):

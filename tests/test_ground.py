@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -595,8 +596,37 @@ def test_ransac_schedule_ends_at_the_last_plane_with_3_inliers(monkeypatch, sche
 
 
 def test_plane_model_validation():
-    with pytest.raises(ValueError):
-        PlaneModel(np.array([0.0, 0.0, 2.0]), -0.8, np.array([0]))
+    for normal in ([0.0, 0.0, 2.0], [math.nan] * 3, [0.0, 0.0, math.nan], [0.0, 0.0, math.inf]):
+        with pytest.raises(ValueError, match="unit length"):
+            PlaneModel(np.array(normal), -0.8, np.array([0]))
+
+
+SYMMETRIC_3X3 = arrays(np.float64, (3, 3), elements=st.floats(-1e3, 1e3)).map(lambda a: a + a.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SYMMETRIC_3X3)
+@example(np.eye(3))  # one eigenvalue, three times
+@example(np.diag([2.0, 1.0, 1.0]))  # a repeated smallest eigenvalue
+@example(np.zeros((3, 3)))
+@example(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))  # smallest eigenvalue 0
+@example(np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))  # rank 1: 0 twice
+def test_fit_eigen_solve_is_numpys_eigh(scatter):
+    # the fit calls eigh's LAPACK gufunc directly: its vectors must be eigh's, bit for bit
+    got, want = ground._eigenvectors(scatter), np.linalg.eigh(scatter)[1]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, 3, elements=st.floats(allow_nan=True, allow_infinity=True)))
+@example(np.array([0.0, -0.0, 0.0]))
+@example(np.array([1e200, 1e200, 0.0]))  # the square overflows, as in np.linalg.norm
+@example(np.array([3e-200, 4e-200, 0.0]))  # and underflows
+def test_fit_norm_is_numpys_norm(v):
+    with np.errstate(over="ignore"):  # both warn alike on an overflowing square
+        got, want = ground._norm(v), np.linalg.norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # -------------------------------------------------------------- extraction
@@ -728,15 +758,27 @@ class FitEntered(Exception):
     pass
 
 
+def estimate_bits(est):
+    # every bit of an estimate: the plane's normal, d and inlier indices, and
+    # the center, near and approach points, the sign of each zero included
+    plane = est.plane
+    points = (est.center, est.near_point, est.approach)
+    return (plane.normal.tobytes(), float(plane.d).hex(), plane.inlier_indices.dtype.str,
+            plane.inlier_indices.tobytes(), [float(v).hex() for p in points for v in (p.x, p.y, p.z)])
+
+
 @settings(max_examples=300, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=BOX_COORDS))
-@example(np.round(generate_pot_scene(seed=3)[0].points, 3))  # ties, -0.0 among them
-@example(np.array([[0.0, 0.0, 0.5], [2.0, 0.0, 0.5], [0.0, 0.0, np.nan]]))
-@example(np.array([[1.0, 0.0, 0.5], [0.0, 0.0, -1.0], [np.inf, 0.0, 0.0]]))  # empty crop
-def test_detect_ground_fits_the_band_of_the_crop(points):
+@given(points=arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)), elements=BOX_COORDS),
+       seed=st.integers(0, 2**32 - 1))
+@example(points=np.round(generate_pot_scene(seed=3)[0].points, 3), seed=3)  # ties, -0.0 among them
+@example(points=np.array([[0.0, 0.0, 0.5], [2.0, 0.0, 0.5], [0.0, 0.0, np.nan]]), seed=0)
+@example(points=np.array([[1.0, 0.0, 0.5], [0.0, 0.0, -1.0], [np.inf, 0.0, 0.0]]),
+         seed=0)  # empty crop
+def test_detect_ground_fits_the_band_of_the_crop(points, seed):
     # detect_ground refines the band on the crop's z order alone and gathers
     # only the band's rows: the rows it fits are those of the band of
-    # workspace_filter's crop, bit for bit
+    # workspace_filter's crop, bit for bit, and its estimate, with no input
+    # check on that path, is the public chain's
     cloud = PointCloud(points)
     inside = workspace_filter(cloud, BOX)
     fitted = []
@@ -753,8 +795,15 @@ def test_detect_ground_fits_the_band_of_the_crop(points):
             return
         with pytest.raises(FitEntered):
             detect_ground(cloud, BOX)
-    want = refine_ground_band(inside).points
-    assert fitted[0].shape == want.shape and fitted[0].tobytes() == want.tobytes()
+    band = refine_ground_band(inside)
+    assert fitted[0].shape == band.points.shape and fitted[0].tobytes() == band.points.tobytes()
+    try:
+        want_est = extract_ground_estimate(fit_plane_ransac(band, seed=seed), band)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            detect_ground(cloud, BOX, seed=seed)
+        return
+    assert estimate_bits(detect_ground(cloud, BOX, seed=seed)) == estimate_bits(want_est)
 
 
 def test_approach_depth_accuracy_is_guarded():
