@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import os
 import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -62,18 +63,14 @@ def _settings(args: argparse.Namespace, types: dict, **defaults) -> dict:
 def _detect_scene(path: str | None, seed: int):
     """The soil estimate of the input file's scene, or of a generated one
     with the run's seed, and the generated scene's truth (None for a file).
-
-    The cloud reaches detect_ground as a temporary that no name here holds,
-    so it is freed as soon as detect_ground has gathered the soil band.
     """
     if path:
-        scene = [load_cloud(path), None]
-        _info(f"loaded {len(scene[0])} points from {path}")
+        cloud, truth = load_cloud(path), None
+        _info(f"loaded {len(cloud)} points from {path}")
     else:
-        scene = list(generate_pot_scene(PotSceneParams(), seed=seed))
-        _info(f"generated scene with {len(scene[0])} points (seed {seed})")
-    truth = scene.pop()
-    return detect_ground(scene.pop(), scene_bounds(), seed=seed), truth
+        cloud, truth = generate_pot_scene(PotSceneParams(), seed=seed)
+        _info(f"generated scene with {len(cloud)} points (seed {seed})")
+    return detect_ground(cloud, scene_bounds(), seed=seed), truth
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -186,7 +183,6 @@ def _bench_runs(base, repeats: int) -> list:
                 results.append(pickle.loads(data))
                 continue
             if code < 0:
-                import signal
                 how = f"was killed by {signal.Signals(-code).name}"
             else:
                 how = f"exited with code {code}"
@@ -198,7 +194,6 @@ def _bench_runs(base, repeats: int) -> list:
         for pipe in pipes:
             pipe.close()
         if running:
-            import signal
             for pid in running:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

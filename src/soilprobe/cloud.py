@@ -79,16 +79,6 @@ def workspace_filter(cloud: PointCloud, bounds: WorkspaceBounds) -> PointCloud:
     CROP_POINTS points.  An empty result is legal; callers decide whether
     that is fatal.
     """
-    order, _ = _crop_order(cloud, bounds)
-    # take gathers rows faster than fancy indexing, with the same values
-    return PointCloud(cloud.points.take(order, axis=0))
-
-
-def _crop_order(cloud: PointCloud, bounds: WorkspaceBounds) -> tuple[np.ndarray, np.ndarray]:
-    """The crop of workspace_filter without its points: the indices into
-    `cloud` of the rows it keeps, in its order, and their z values in that
-    order, as one contiguous array.  The stride to CROP_POINTS is taken
-    here, so detect_ground and workspace_filter keep the same rows."""
     x, y, z = cloud.points.T
     # NaN fails every strict comparison and +-inf fails the two-sided x and z
     # tests; y = -inf is the one non-finite value the box itself lets through.
@@ -103,22 +93,20 @@ def _crop_order(cloud: PointCloud, bounds: WorkspaceBounds) -> tuple[np.ndarray,
     idx = keep.nonzero()[0]
     if idx.size > CROP_POINTS:
         idx = idx[::-(-idx.size // CROP_POINTS)]
-    order, ranked = _stable_order(z[idx])
-    return idx.take(order), ranked
+    # take gathers rows faster than fancy indexing, with the same values
+    return PointCloud(cloud.points.take(idx.take(_stable_order(z[idx])), axis=0))
 
 
-def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.argsort(values, kind="stable"), faster, for values without NaN,
-    and the values in that order.
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """np.argsort(values, kind="stable"), faster, for values without NaN.
 
     The default sort orders the values but may reorder ties, so only the
     members of runs of equal values are sorted again: numbering those runs
     gives each member a tie-group id, and one sort of the unique keys
     `group * n + position` keeps the runs where they are and puts each
     run's positions in input order.  -0.0 and 0.0 share a run, as they tie
-    in the stable sort, so the run's sorted values are read again to keep
-    the sign of each zero.  NaN is unequal to itself, so each NaN would get
-    a run of its own and lose its input order.  Without ties there is one
+    in the stable sort.  NaN is unequal to itself, so each NaN would get a
+    run of its own and lose its input order.  Without ties there is one
     ascending order only, and the default sort has found it.
     """
     n = values.size
@@ -126,7 +114,7 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = values.take(order)
     tie = ranked[1:] == ranked[:-1]
     if not tie.any():
-        return order, ranked
+        return order
     member = np.zeros(n, dtype=bool)
     member[1:] = tie
     member[:-1] |= tie
@@ -135,8 +123,7 @@ def _stable_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group = np.zeros(tied.size, dtype=np.int64)
     np.cumsum(tied_values[1:] != tied_values[:-1], out=group[1:])
     order[tied] = np.sort(group * n + order[tied]) % n
-    ranked[tied] = values[order[tied]]
-    return order, ranked
+    return order
 
 
 # Text format: one `x,y,z` triple per line, each value as %.9g; `#` starts

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .cloud import PointCloud, WorkspaceBounds, _crop_order
+from .cloud import PointCloud, WorkspaceBounds, workspace_filter
 
 APPROACH_OFFSET_Y = 0.03  # shift from the nearest soil point toward the pot center
 RANSAC_CONFIDENCE = 0.999  # chance that some hypothesis drew 3 inliers
@@ -101,11 +101,15 @@ def _best_bin(counts: list[int]) -> int:
     return scores.index(max(scores))
 
 
-def _checked_z(cloud: PointCloud) -> np.ndarray:
-    # The cloud's z as one contiguous array, checked to be what _band_passes
-    # needs: non-empty, ascending and finite.  A contiguous copy, since a
-    # cloud's z is a strided column, which the check reads slowly and a
-    # memoryview cannot wrap.
+def _band_passes(cloud: PointCloud) -> list[tuple[int, int]]:
+    # The kept range [lo, hi) of the cloud's ascending z after each pass.
+    # Each pass bins z[lo:hi], picks the highest-scoring bin and keeps the
+    # points strictly within half a bin width of that bin's z range: on
+    # ascending z the bin's range is its first and last value, and the kept
+    # points are one contiguous range, found by two binary searches.  The z
+    # is checked first to be non-empty, ascending and finite, on one
+    # contiguous copy, since a cloud's z is a strided column, which the
+    # check reads slowly and a memoryview cannot wrap.
     z = np.ascontiguousarray(cloud.z)
     if z.size == 0:
         raise ValueError("no points to bin")
@@ -115,17 +119,6 @@ def _checked_z(cloud: PointCloud) -> np.ndarray:
         raise ValueError("band refinement needs the points sorted by ascending z")
     if not (math.isfinite(z[0]) and math.isfinite(z[-1])):
         raise ValueError("band refinement needs finite z values")
-    return z
-
-
-def _band_passes(z: np.ndarray) -> list[tuple[int, int]]:
-    # The kept range [lo, hi) of ascending z after each pass.  Each pass
-    # bins z[lo:hi], picks the highest-scoring bin and keeps the points
-    # strictly within half a bin width of that bin's z range: on ascending z
-    # the bin's range is its first and last value, and the kept points are
-    # one contiguous range, found by two binary searches.  z is a
-    # contiguous, non-empty, ascending and finite array, as _checked_z
-    # returns it and _crop_order builds it; it is not checked here.
     z = memoryview(z)
     lo, hi = 0, len(z)
     passes = []
@@ -150,7 +143,7 @@ def refinement_history(cloud: PointCloud) -> list[np.ndarray]:
     nested by construction.  The cloud must be sorted by ascending z with
     finite z values, as workspace_filter returns it; else ValueError.
     """
-    return [np.arange(lo, hi) for lo, hi in _band_passes(_checked_z(cloud))]
+    return [np.arange(lo, hi) for lo, hi in _band_passes(cloud)]
 
 
 def refine_ground_band(cloud: PointCloud) -> PointCloud:
@@ -158,11 +151,9 @@ def refine_ground_band(cloud: PointCloud) -> PointCloud:
     workspace_filter returns it, to the band around the dominant low
     surface: a contiguous range of its points, in their input order.
 
-    The cloud is checked here, once: an empty cloud, or one whose z is not
-    finite and ascending, raises ValueError.  detect_ground refines the z
-    of its own crop, which is all of that by construction, and skips the
-    check."""
-    lo, hi = _band_passes(_checked_z(cloud))[-1]
+    An empty cloud, or one whose z is not finite and ascending, raises
+    ValueError."""
+    lo, hi = _band_passes(cloud)[-1]
     return cloud.select(slice(lo, hi))
 
 
@@ -212,32 +203,25 @@ def _canonical_sign(normal: np.ndarray) -> np.ndarray:
     return normal
 
 
-def _refit(xyz: np.ndarray, inliers: np.ndarray, m: int, threshold: float, scratch: np.ndarray,
-           weighted: np.ndarray):
+def _refit(xyz: np.ndarray, inliers: np.ndarray, m: int, threshold: float):
     # The least-squares plane of the m points where `inliers` holds, as its
     # unit normal and centroid, and the mask of the points within the
     # threshold of it.  The (3, N) xyz holds every point's offset from one
-    # inlier, and the (3, N) `weighted` takes xyz times the inlier weights w,
-    # so xyz @ w and weighted @ xyz.T sum the set's first and second
-    # moments, and the set is never gathered.  The (N,) `scratch` holds the
-    # weights, then the residuals.
-    np.copyto(scratch, inliers)
-    np.multiply(xyz, scratch, out=weighted)
-    centroid = (xyz @ scratch) / m
-    scatter = weighted @ xyz.T - m * (centroid[:, None] * centroid)  # np.outer's product
+    # inlier, so with the inlier weights w, xyz @ w and (xyz * w) @ xyz.T
+    # sum the set's first and second moments, and the set is never gathered.
+    w = inliers.astype(float)
+    centroid = (xyz @ w) / m
+    scatter = (xyz * w) @ xyz.T - m * (centroid[:, None] * centroid)  # np.outer's product
     # the eigenvector of the smallest eigenvalue
     normal = _canonical_sign(_eigenvectors(scatter)[:, 0])
     normal = normal / _norm(normal)
-    return normal, centroid, _within(normal, xyz, normal @ centroid, threshold, scratch)
+    return normal, centroid, _within(normal, xyz, normal @ centroid, threshold)
 
 
-def _within(normal: np.ndarray, xyz: np.ndarray, offset: float, threshold: float,
-            scratch: np.ndarray) -> np.ndarray:
+def _within(normal: np.ndarray, xyz: np.ndarray, offset: float, threshold: float) -> np.ndarray:
     # The mask of the points of the (3, N) xyz within the threshold of the
-    # plane normal.p = offset, by way of the (N,) scratch.
-    np.matmul(normal, xyz, out=scratch)
-    scratch -= offset
-    return np.abs(scratch, out=scratch) < threshold
+    # plane normal.p = offset.
+    return np.abs(normal @ xyz - offset) < threshold
 
 
 def _hypotheses_needed(count: int, n: int) -> int:
@@ -310,8 +294,7 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     points within the threshold.
 
     The fit works on one (3, N) copy of the valid points, turned into their
-    offsets from one inlier, one (3, N) buffer that every refit reuses and
-    one (N,) scratch row.  Each refit takes its plane from the
+    offsets from one inlier.  Each refit takes its plane from the
     inlier-weighted moments of the offsets, so no refit gathers the inlier
     set.  The reported plane is the refit plane that chose the final
     inliers: they are exactly the valid points within the threshold of it.
@@ -337,8 +320,7 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     if best is None:
         raise ValueError("plane fit failed: no plane consensus found")
     normal, offset = best
-    scratch = np.empty(xyz.shape[1])  # a refit's weights, then its residuals
-    fitted = _within(normal, xyz, offset, threshold, scratch)
+    fitted = _within(normal, xyz, offset, threshold)
     count = np.count_nonzero(fitted)
     if count < 3:
         raise ValueError("plane fit failed: no plane consensus found")
@@ -346,7 +328,6 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     # from here on xyz holds offsets from the first inlier
     origin = xyz[:, fitted.argmax()].copy()
     xyz -= origin[:, None]
-    weighted = np.empty_like(xyz)  # a refit's offsets times its weights
     # Refit on a shrinking threshold (Lebeda, Matas & Chum 2012).  The first
     # refit plane L keeps at least 3 points within the threshold t: the
     # winning triple's plane S has residual 0 on its own 3 points, which are
@@ -364,8 +345,7 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
     # schedule at the last plane with at least 3 points within t of it.
     final, planes = fitted, []
     for factor in REFIT_SCHEDULE:
-        normal, centroid, final = _refit(xyz, final, count, factor * threshold, scratch,
-                                         weighted)
+        normal, centroid, final = _refit(xyz, final, count, factor * threshold)
         count = np.count_nonzero(final)
         planes.append((normal, centroid))
         if count < 3:
@@ -375,11 +355,10 @@ def fit_plane_ransac(cloud: PointCloud, threshold: float = 0.005, seed: int = 0)
         if not planes:
             raise ValueError("plane fit failed: no plane consensus found")
         normal, centroid = planes[-1]
-        final = _within(normal, xyz, normal @ centroid, threshold, scratch)
+        final = _within(normal, xyz, normal @ centroid, threshold)
         count = np.count_nonzero(final)
     # the plane that chose `final` passes through origin + centroid
     d = -(float(normal @ centroid) + float(normal @ origin))
-    del xyz, weighted, scratch  # release the (3, N) arrays before the index array is made
     inliers = final.nonzero()[0]
     return PlaneModel(normal, d, inliers if valid_idx is None else valid_idx[inliers])
 
@@ -443,23 +422,11 @@ def extract_ground_estimate(plane: PlaneModel, cloud: PointCloud) -> GroundEstim
 
 
 def detect_ground(cloud: PointCloud, bounds: WorkspaceBounds, seed: int = 0) -> GroundEstimate:
-    """Full detection pipeline: workspace filter, band refinement, plane fit.
-
-    The band is refined on the crop's z order and sorted z alone, and only
-    its rows are gathered from the cloud, so the crop's points are never
-    built; the fit sees exactly the rows of
-    refine_ground_band(workspace_filter(cloud, bounds)).  The crop's z is
-    non-empty, ascending and finite by construction, so the band search
-    skips refine_ground_band's check of it.  Once the band is gathered this
-    function holds no reference to the cloud, so a caller that passes its
-    only reference has the cloud freed before the fit.
-    """
-    order, z = _crop_order(cloud, bounds)
-    if order.size == 0:
+    """Full detection pipeline: workspace filter, band refinement, plane fit."""
+    crop = workspace_filter(cloud, bounds)
+    if len(crop) == 0:
         raise ValueError("no points inside the workspace bounds")
-    lo, hi = _band_passes(z)[-1]
-    band = PointCloud(cloud.points.take(order[lo:hi], axis=0))
-    del cloud, order, z
+    band = refine_ground_band(crop)
     plane = fit_plane_ransac(band, seed=seed)
     return extract_ground_estimate(plane, band)
 

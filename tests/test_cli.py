@@ -5,7 +5,6 @@ import re
 import signal
 import time
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from soilprobe import cli, ground
+from soilprobe import cli
 from soilprobe.cli import DETECT_TYPES, PIPELINE_TYPES, main
 from soilprobe.cloud import PointCloud, save_cloud
 from soilprobe.config import SCENARIO_TYPES, load_scenario_config
@@ -540,48 +539,14 @@ def test_pipeline_flag_overrides_config(tmp_path, spelling):
     assert "scenario=dry" in summary
 
 
-@pytest.mark.parametrize("from_file", [False, True], ids=["generated", "input"])
-@pytest.mark.parametrize("command", ["detect", "pipeline"])
-def test_the_cloud_is_freed_before_the_fit(tmp_path, monkeypatch, command, from_file):
-    # once detect_ground has gathered the soil band, nothing holds the
-    # loaded or generated cloud, so it is not alive under the plane fit
-    refs, alive = [], []
-    real_load, real_generate, real_fit = cli.load_cloud, cli.generate_pot_scene, ground.fit_plane_ransac
-
-    def watched(cloud):
-        refs.extend([weakref.ref(cloud), weakref.ref(cloud.points)])
-        return cloud
-
-    def fit(band, **kwargs):
-        alive.append([ref() is not None for ref in refs])
-        return real_fit(band, **kwargs)
-
-    def generate(params, seed):
-        cloud, truth = real_generate(params, seed)
-        return watched(cloud), truth
-
-    monkeypatch.setattr(cli, "load_cloud", lambda path: watched(real_load(path)))
-    monkeypatch.setattr(cli, "generate_pot_scene", generate)
-    monkeypatch.setattr(ground, "fit_plane_ransac", fit)
-    args = [command, "--seed", "3"]
-    if from_file:
-        save_cloud(generate_pot_scene(seed=3)[0], tmp_path / "scene.txt")
-        args += ["--input", str(tmp_path / "scene.txt")]
-    args += ["--out", str(tmp_path / "est.txt")] if command == "detect" else \
-        ["--out-dir", str(tmp_path / "run")]
-    assert run(*args) == 0
-    assert alive == [[False, False]]
-
-
 def test_pipeline_detection_peak_per_point(tmp_path, monkeypatch):
     # Python allocations from the loaded cloud to the start of the run, per
-    # input point, on a dense ~95k-point cloud with 5% NaN rows: the cloud
-    # (24 bytes a point) is freed once the band is gathered, and the fit
-    # holds the band, its (3, N) copy and one (3, N) buffer.  With the cloud
-    # and the whole crop alive under a fit on one (9, N) array it read about
-    # 94 bytes a point, and 52 with the whole crop sorted, banded and fit;
-    # with the crop thinned to CROP_POINTS this reads 33.0, the cloud and
-    # the box test's mask and indices.
+    # input point, on a dense ~95k-point cloud with 5% NaN rows.  Detection
+    # is the plain chain workspace_filter, refine_ground_band,
+    # fit_plane_ransac: the cloud (24 bytes a point) is alive throughout,
+    # and the crop, the band and the fit's copies hold at most CROP_POINTS
+    # rows, so this reads 33.0, the cloud and the box test's mask and
+    # indices.
     d = PotSceneParams()
     dense = PotSceneParams(n_soil=16 * d.n_soil, n_rim=16 * d.n_rim, n_wall=16 * d.n_wall,
                            n_foliage=16 * d.n_foliage, n_table=16 * d.n_table)
