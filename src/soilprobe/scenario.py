@@ -30,14 +30,24 @@ _LOOP_ROW = struct.Struct(f"{len(_LOOP_COLUMNS)}d")
 # whole trace, 72 bytes a step, and on a noisy sensor its noise, 64 more.
 MAX_STEPS = 10**7
 
+# the one controller tuning for every soil, whose stiffness it is not told
+IMPEDANCE = ImpedanceParams(mass=1.0, damping=700.0, stiffness=400.0)
+ADAPTATION = AdaptationParams(drive_gain=8.0, drive_rate_gain=0.05, error_weight=1.0,
+                              error_rate_weight=0.05, deriv_filter_tau=0.01)
+# the approach reference's speed far from the detected surface, in m/s
+APPROACH_SPEED = 0.02
+# its slow touch speed near and past the detected surface, in m/s
+CONTACT_SPEED = 5e-4
+# the distance above the detected surface over which it slows down, in m
+DECEL_BAND = 2e-3
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete, flat description of one probing run.
-
-    The controller set here is the shared tuning that handles moist soil,
-    dry soil, and rigid collisions alike, and the only home of the component
-    models' defaults; every field can be overridden from a config file.
+    """Complete, flat description of one probing run; every field can be
+    set from a config file.  The controller tuning and the approach speeds
+    are this module's constants IMPEDANCE, ADAPTATION, APPROACH_SPEED,
+    CONTACT_SPEED and DECEL_BAND.
     """
 
     scenario: str = "custom"
@@ -48,16 +58,6 @@ class ScenarioConfig:
     duration: float = 10.0
     dt: float = 1e-3
     seed: int = 0
-    # target impedance
-    mass: float = 1.0
-    damping: float = 700.0
-    stiffness: float = 400.0
-    # adaptation gains
-    drive_gain: float = 8.0
-    drive_rate_gain: float = 0.05
-    error_weight: float = 1.0
-    error_rate_weight: float = 0.05
-    deriv_filter_tau: float = 0.01
     # sensing and robot tracking
     bias_amplitude: float = 0.0
     bias_drift_rate: float = 0.0
@@ -65,9 +65,6 @@ class ScenarioConfig:
     tracking_tau: float = 0.0
     # approach phase
     approach_height: float = 0.05
-    approach_speed: float = 0.02
-    contact_speed: float = 5e-4
-    decel_band: float = 2e-3
     contact_threshold: float = 0.2
     # hold the known-stiffness reference instead of adapting
     fixed_reference: bool = False
@@ -85,8 +82,15 @@ class ScenarioConfig:
                 # gives the same doubles about three times slower
                 value = float(value)
                 object.__setattr__(self, name, value)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite")
+        # a bool is an Integral too, but as a seed it is a typo
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise TypeError(f"seed must be an integer, got {type(self.seed).__name__}")
+        object.__setattr__(self, "seed", int(self.seed))
+        if not isinstance(self.fixed_reference, bool):
+            raise TypeError(f"fixed_reference must be a bool, "
+                            f"got {type(self.fixed_reference).__name__}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         if self.dt <= 0:
@@ -99,10 +103,9 @@ class ScenarioConfig:
             raise ValueError("seed must be non-negative")
         if self.approach_height < 0:
             raise ValueError("approach_height must be non-negative")
-        if self.approach_speed <= 0 or self.contact_speed <= 0:
-            raise ValueError("approach speeds must be positive")
-        if self.decel_band <= 0:
-            raise ValueError("decel_band must be positive")
+        # the probe's start; each term finite, their difference may not be
+        if not math.isfinite(self.surface_detected - self.approach_height):
+            raise ValueError("surface_detected - approach_height must be finite")
         # the probe hands over to force control once the measured force
         # reaches contact_threshold, so it must lie below a positive setpoint
         if self.force_setpoint <= 0:
@@ -112,23 +115,15 @@ class ScenarioConfig:
         if self.contact_threshold >= self.force_setpoint:
             raise ValueError("contact_threshold must be below force_setpoint")
         # instantiating the component models validates the remaining fields
-        self.impedance_params()
-        self.adaptation_params()
         self.environment_model()
         self.sensor_model()
         self.robot_model()
 
     def impedance_params(self) -> ImpedanceParams:
-        return ImpedanceParams(self.mass, self.damping, self.stiffness)
+        return IMPEDANCE
 
     def adaptation_params(self) -> AdaptationParams:
-        return AdaptationParams(
-            self.drive_gain,
-            self.drive_rate_gain,
-            self.error_weight,
-            self.error_rate_weight,
-            self.deriv_filter_tau,
-        )
+        return ADAPTATION
 
     def environment_model(self) -> EnvironmentModel:
         return EnvironmentModel(self.env_stiffness, self.surface_true)
@@ -230,7 +225,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     what keeps a rigid collision within the safety bound.
 
     The sensor is tared in free space: the mean reading over the approach
-    steps taken while the reference is outside decel_band is its zero
+    steps taken while the reference is outside DECEL_BAND is its zero
     offset (0 if there are none).  The force error and the contact test
     use the tared reading; the trace records the raw one.
 
@@ -256,15 +251,15 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     noise = SensorState(cfg.sensor_model(), cfg.seed).noise(n, dt)
     noisy = noise is not None
     bias, white = noise if noisy else ((), ())
-    mass, damping, stiffness = cfg.mass, cfg.damping, cfg.stiffness
-    drive_gain, drive_rate_gain = cfg.drive_gain, cfg.drive_rate_gain
-    error_weight, error_rate_weight = cfg.error_weight, cfg.error_rate_weight
-    tau = cfg.deriv_filter_tau
+    mass, damping, stiffness = IMPEDANCE.mass, IMPEDANCE.damping, IMPEDANCE.stiffness
+    drive_gain, drive_rate_gain = ADAPTATION.drive_gain, ADAPTATION.drive_rate_gain
+    error_weight, error_rate_weight = ADAPTATION.error_weight, ADAPTATION.error_rate_weight
+    tau = ADAPTATION.deriv_filter_tau
     lp_gain = dt / (tau + dt)  # the dirty derivatives' low-pass gain
     k_env, surface_true = cfg.env_stiffness, cfg.surface_true
     setpoint, surface = cfg.force_setpoint, cfg.surface_detected
-    decel_band, threshold = cfg.decel_band, cfg.contact_threshold
-    approach_speed, contact_speed = cfg.approach_speed, cfg.contact_speed
+    decel_band, threshold = DECEL_BAND, cfg.contact_threshold
+    approach_speed, contact_speed = APPROACH_SPEED, CONTACT_SPEED
     # branch on tau itself: a huge tau can round the lag factor to 0
     lagged = cfg.tracking_tau != 0.0
     lag = 1.0 - math.exp(-dt / cfg.tracking_tau) if lagged else 0.0
@@ -281,9 +276,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     pack, row_size = _LOOP_ROW.pack_into, _LOOP_ROW.size
     last = n - 1
     reason = ""
-    # x can turn non-finite only at the start or through the robot lag
-    if not isfinite(x):
-        raise ValueError("probe position must be finite")
     # The divergence guards test only the states that turn non-finite first.
     # In the adaptation update each of error_lp, q_lp and kappa_accel feeds
     # kappa_rate within the step: error_lp -> e_rate -> q -> drive, q_lp ->
@@ -366,6 +358,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             break
         if lagged:
             x = x + (x_c - x) * lag
+            # ScenarioConfig keeps the start finite, so only the lag can make x non-finite
             if not isfinite(x):
                 raise ValueError("probe position must be finite")
         else:

@@ -11,6 +11,7 @@ depth views do.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,14 @@ class PotSceneParams:
     view_azimuth: float | None = None
 
     def __post_init__(self):
-        if self.roughness < 0:
-            raise ValueError("roughness must be non-negative")
+        if not (math.isfinite(self.roughness) and self.roughness >= 0):
+            raise ValueError("roughness must be finite and non-negative")
+        for name in ("n_soil", "n_rim", "n_wall", "n_foliage", "n_table"):
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < 0:
+                raise ValueError(f"{name} must be a non-negative integer")
+        if self.view_azimuth is not None and not math.isfinite(self.view_azimuth):
+            raise ValueError("view_azimuth must be None or finite")
 
 
 def scene_bounds() -> WorkspaceBounds:

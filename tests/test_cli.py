@@ -178,6 +178,12 @@ def test_config_faults_exit_1_on_every_command(tmp_path, capsys, command):
     }
     for key in types:
         faults[f"{key} =\n"] = f"invalid value for '{key}': ''"
+    # the controller tuning and the approach speeds are constants of
+    # soilprobe.scenario, not keys
+    for key in ("mass", "damping", "stiffness", "drive_gain", "drive_rate_gain", "error_weight",
+                "error_rate_weight", "deriv_filter_tau", "approach_speed", "contact_speed",
+                "decel_band"):
+        faults[f"{key} = 1\n"] = f"unknown config key: '{key}'"
     if "scenario" in types:
         faults["scenario = muddy\n"] = \
             "unknown scenario kind: 'muddy' (choose from moist, dry, rigid, custom)"
@@ -221,7 +227,9 @@ def test_non_finite_config_exits_1(tmp_path, capsys):
                        ("surface_detected = nan", "surface_detected"),
                        ("tracking_tau = nan", "tracking_tau"),
                        ("contact_threshold = nan", "contact_threshold"),
-                       ("surface_true = inf", "surface_true")):
+                       ("surface_true = inf", "surface_true"),
+                       ("surface_detected = -1.7e308\napproach_height = 1e308",
+                        "surface_detected - approach_height")):
         cfg.write_text(text + "\n")
         capsys.readouterr()
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1, text

@@ -41,6 +41,9 @@ def test_scenario_from_text(write):
 def test_unknown_key_is_named(write):
     with pytest.raises(ConfigError, match="unknown config key: 'stifness'"):
         load_scenario_config(write("stifness = 100\n"))
+    # the controller tuning is scenario.py's constants, not config keys
+    with pytest.raises(ConfigError, match="unknown config key: 'damping'"):
+        load_scenario_config(write("damping = 700\n"))
 
 
 def test_invalid_values_are_named(write):
@@ -58,8 +61,8 @@ def test_semantic_errors_become_config_errors(write):
         load_scenario_config(write("scenario = muddy\n"))
     with pytest.raises(ConfigError):
         load_scenario_config(write("duration = -1\n"))
-    with pytest.raises(ConfigError, match="deriv_filter_tau must be positive"):
-        load_scenario_config(write("deriv_filter_tau = 0\n"))
+    with pytest.raises(ConfigError, match="tracking_tau must be non-negative"):
+        load_scenario_config(write("tracking_tau = -1\n"))
 
 
 def test_overrides_beat_file_values(write):

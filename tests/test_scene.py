@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -76,8 +77,19 @@ def test_fixed_view_azimuth_pins_occlusion():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="roughness"):
-        PotSceneParams(roughness=-0.01)
+    for fields, message in (
+        (dict(roughness=-0.01), "roughness must be finite and non-negative"),
+        (dict(roughness=math.inf), "roughness must be finite and non-negative"),
+        (dict(roughness=math.nan), "roughness must be finite and non-negative"),
+        (dict(view_azimuth=math.nan), "view_azimuth must be None or finite"),
+        (dict(view_azimuth=-math.inf), "view_azimuth must be None or finite"),
+        (dict(n_soil=-5), "n_soil must be a non-negative integer"),
+        (dict(n_rim=2.5), "n_rim must be a non-negative integer"),
+        (dict(n_table=-1), "n_table must be a non-negative integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PotSceneParams(**fields)
+    PotSceneParams(n_soil=np.int64(100), view_azimuth=1.0)  # a numpy count passes
 
 
 _DEFAULT = PotSceneParams()
