@@ -6,12 +6,12 @@ Subcommands:
   pipeline  scene -> detection -> contact scenario, end to end
   bench     repeated seeded runs -> dispersion statistics
 
-Every command merges its settings the same way: a flag given on the
-command line, as `--seed 3` or `--seed=3`, beats the same key in the
---config file, and the file beats the built-in default.  The merged
-settings are checked before any scene is loaded or run started: an
-unknown, duplicate or empty key, a value that does not convert, a
-negative seed or an unknown scenario kind is a usage error.
+A setting is the first of: its flag, as `--seed 3` or `--seed=3`; its key
+in the --config file; the built-in default.  Flag and file share each key's
+converter and checks, run before any scene is loaded or run started, so a
+fault is one usage error either way: `--seed=-1` is "invalid value for 'seed':
+'-1'", `--scenario=muddy` is "unknown scenario kind: 'muddy' (choose from moist,
+dry, rigid, custom)"; an empty value such as `--input=` is one too, not "absent".
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime or model error.
 Diagnostics go to stderr; data goes to files or stdout.
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .cloud import load_cloud
-from .config import SCENARIO_TYPES, ConfigError, read_config, scenario_config, seed
+from .config import SCENARIO_TYPES, ConfigError, convert_value, read_config, scenario_config, seed
 from .ground import detect_ground, estimate_to_text
 from .scenario import (
     SCENARIO_KINDS,
@@ -46,8 +46,8 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# the keys each command's --config file accepts, with their converters;
-# simulate and bench accept SCENARIO_TYPES, the fields of ScenarioConfig
+# the keys each command's --config file accepts, with the converters of their
+# text from file or flag; simulate and bench take SCENARIO_TYPES, ScenarioConfig's fields
 DETECT_TYPES = {"input": str, "seed": seed, "out": str}
 PIPELINE_TYPES = {"input": str, "seed": seed, "scenario": str, "out_dir": str}
 
@@ -55,9 +55,10 @@ PIPELINE_TYPES = {"input": str, "seed": seed, "scenario": str, "out_dir": str}
 def _settings(args: argparse.Namespace, types: dict, **defaults) -> dict:
     """Each key of `types` that has a value: its flag if given, else the
     --config file's value, else its entry in `defaults`."""
-    flags = {key: getattr(args, key) for key in types if getattr(args, key, None) is not None}
-    given = read_config(args.config, types) if args.config else {}
-    return {**defaults, **given, **flags}
+    flags = {key: convert_value(key, text, types.get(key, str))
+             for key, text in vars(args).items() if isinstance(text, str) and key != "command"}
+    given = read_config(flags["config"], types) if "config" in flags else {}
+    return {**defaults, **given, **{key: flags[key] for key in types if key in flags}}
 
 
 def _detect_scene(path: str | None, seed: int):
@@ -246,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, scene=False, scenario=False):
-        p.add_argument("--seed", type=seed,
+        p.add_argument("--seed",
                        help="seed for generation and fitting (default: the config file's, else 0)")
         p.add_argument("--config", help="key=value config file (flags override)")
         if scene:
             p.add_argument("--input", help="point-cloud text file (x,y,z per line)")
         if scenario:
-            p.add_argument("--scenario", choices=SCENARIO_KINDS, help="scenario preset")
+            p.add_argument("--scenario", help=f"scenario preset: {', '.join(SCENARIO_KINDS)}")
 
     p = sub.add_parser("detect", help="estimate the soil surface from a point cloud")
     add_common(p, scene=True)

@@ -29,7 +29,8 @@ def seed(text: str) -> int:
 SCENARIO_TYPES = {**typing.get_type_hints(ScenarioConfig), "seed": seed}
 
 
-def _convert(key: str, value: str, convert):
+def convert_value(key: str, value: str, convert):
+    """`value` through `convert`; empty or unconvertible text is a ConfigError."""
     try:
         if not value:
             raise ValueError(value)
@@ -67,7 +68,7 @@ def read_config(path, types: dict) -> dict:
             raise ConfigError(f"unknown config key: '{key}'")
         if key in out:
             raise ConfigError(f"duplicate config key: '{key}'")
-        out[key] = _convert(key, value, types[key])
+        out[key] = convert_value(key, value, types[key])
     return out
 
 

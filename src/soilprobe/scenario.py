@@ -192,7 +192,7 @@ class SimTrace:
         abs_e = np.abs(self.e)
         out["settling_time"] = _entry_time(self.t, abs_e, 0.02 * cfg.force_setpoint)
         out["time_to_10pct"] = _entry_time(self.t, abs_e, 0.1 * cfg.force_setpoint)
-        tail = max(1, int(round(0.5 / cfg.dt)))
+        tail = max(1, int(round(min(0.5 / cfg.dt, abs_e.size))))
         out["steady_state_error"] = float(abs_e[-tail:].max())
         kappa_final = float(self.kappa[-1])
         out["kappa_final"] = kappa_final

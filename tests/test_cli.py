@@ -159,13 +159,9 @@ COMMAND_TYPES = {"detect": DETECT_TYPES, "simulate": SCENARIO_TYPES,
                  "pipeline": PIPELINE_TYPES, "bench": SCENARIO_TYPES}
 
 
-@pytest.mark.parametrize("command", COMMAND_TYPES)
-def test_config_faults_exit_1_on_every_command(tmp_path, capsys, command):
-    """Every command reads its settings through one path: the same fault
-    exits 1 with the same message, before any scene or run is made."""
-    types = COMMAND_TYPES[command]
-    out = tmp_path / "out"
-    out_flag = ["--out-dir" if command == "pipeline" else "--out", str(out)]
+def config_faults(types: dict) -> dict:
+    """Config file texts that are usage errors for a command that accepts
+    the keys of `types`, each with its error message."""
     faults = {
         "stifness = 100\n": "unknown config key: 'stifness'",
         "generate = true\n": "unknown config key: 'generate'",
@@ -187,16 +183,87 @@ def test_config_faults_exit_1_on_every_command(tmp_path, capsys, command):
     if "scenario" in types:
         faults["scenario = muddy\n"] = \
             "unknown scenario kind: 'muddy' (choose from moist, dry, rigid, custom)"
+    return faults
+
+
+def command_help(capsys, command: str) -> str:
+    capsys.readouterr()
+    assert run(command, "--help") == 0
+    return capsys.readouterr().out
+
+
+def command_flags(capsys, command: str) -> list:
+    """The command's flags, as its --help lists them, --help itself aside."""
+    return re.findall(r"^  (--[a-z-]+)", command_help(capsys, command), re.MULTILINE)
+
+
+@pytest.mark.parametrize("command", COMMAND_TYPES)
+def test_config_faults_exit_1_on_every_command(tmp_path, capsys, command):
+    """Every command reads its settings through one path: the same fault
+    exits 1 with the same message, before any scene or run is made."""
+    out = tmp_path / "out"
+    out_flag = ["--out-dir" if command == "pipeline" else "--out", str(out)]
     cfg = tmp_path / "bad.cfg"
-    for text, message in faults.items():
+    for text, message in config_faults(COMMAND_TYPES[command]).items():
         cfg.write_text(text)
         assert run(command, "--config", str(cfg), *out_flag) == 1, text
         assert capsys.readouterr().err == f"error: {message}\n", text
     for spelling in (["--seed=-1"], ["--seed", "-1"]):
         assert run(command, *spelling, *out_flag) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == f"soilprobe {command}: error: argument --seed: invalid seed value: '-1'"
+        assert err[-1] == "error: invalid value for 'seed': '-1'"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMAND_TYPES)
+def test_flag_faults_read_as_the_config_file_faults(tmp_path, capsys, monkeypatch, command):
+    """A flag's text goes through its key's converter, as the file's does:
+    each fault of a key that has a flag exits 1 with the file's one error
+    line, as `--key=value` and as `--key value`, and an empty flag-only
+    value names its key.  No scene is generated or loaded, no run starts
+    and nothing is written."""
+    def no_scene_or_run(*args, **kwargs):
+        raise AssertionError("a scene was made or a run started")
+
+    for name in ("generate_pot_scene", "load_cloud", "run_scenario"):
+        monkeypatch.setattr(cli, name, no_scene_or_run)
+    types = COMMAND_TYPES[command]
+    flags = command_flags(capsys, command)
+    cfg = tmp_path / "bad.cfg"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    checked = set()
+    for text, message in config_faults(types).items():
+        key, value = (part.strip() for part in text.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if "\n" in value or flag not in flags:
+            continue
+        cfg.write_text(text)
+        for argv in (["--config", str(cfg)], [f"{flag}={value}"], [flag, value]):
+            assert run(command, *argv) == 1, argv
+            assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+        checked.add(key)
+    assert checked == {key for key in types if "--" + key.replace("_", "-") in flags}
+    for key in ("config", "out", "summary"):
+        if f"--{key}" in flags:
+            for argv in ([f"--{key}="], [f"--{key}", ""]):
+                assert run(command, *argv) == 1, argv
+                assert capsys.readouterr() == ("", f"error: invalid value for '{key}': ''\n"), argv
+    assert not any(cwd.iterdir())
+
+
+@pytest.mark.parametrize("command, line", [("simulate", "steady_state_error="),
+                                           ("bench", "custom.steady_state_error.mean=")],
+                         ids=["simulate", "bench"])
+def test_a_subnormal_dt_run_ends_with_its_summary(tmp_path, capsys, command, line):
+    # 0.5 / dt overflows to inf, so the summary's 0.5 s tail is the whole trace
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("duration = 1e-317\ndt = 1e-320\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", str(cfg), "--out", str(out)) == 0
+    summary = capsys.readouterr().out if command == "simulate" else out.read_text()
+    assert any(row.startswith(line) for row in summary.splitlines())
 
 
 def test_readme_config_table_matches_the_commands():
@@ -211,6 +278,23 @@ def test_readme_config_table_matches_the_commands():
     assert rows[("pipeline",)] == list(PIPELINE_TYPES)
     named = rows[("simulate", "bench")]
     assert named and set(named) <= {field.name for field in dataclasses.fields(ScenarioConfig)}
+
+
+def test_readme_usage_block_matches_the_parser(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```\n", 2)[1]
+    listed = {}
+    for line in block.splitlines():
+        if line.startswith("soilprobe "):
+            command = line.split()[1]
+        listed.setdefault(command, []).extend(re.findall(r"--[a-z][a-z-]*", line))
+    assert list(listed) == list(COMMAND_TYPES)
+    for command, flags in listed.items():
+        assert sorted(flags) == sorted(command_flags(capsys, command)), command
+    # --scenario takes any text, so its help names the kinds
+    for command in ("simulate", "pipeline", "bench"):
+        text = command_help(capsys, command)
+        assert all(kind in text for kind in ("moist", "dry", "rigid", "custom")), command
 
 
 def test_malformed_config_exits_1(tmp_path):
