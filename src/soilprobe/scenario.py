@@ -13,7 +13,7 @@ import numpy as np
 
 from .adaptation import COMPLIANCE_FLOOR, AdaptationParams, stiffness_estimate
 from .cloud import csv_chunks
-from .contact import EnvironmentModel, RobotModel, SensorModel, SensorState
+from .contact import BLOCK, EnvironmentModel, RobotModel, SensorModel, SensorState
 from .impedance import ImpedanceParams, steady_state_reference
 
 SCENARIO_STIFFNESS = {"moist": 500.0, "dry": 5000.0, "rigid": 1e6}
@@ -27,7 +27,8 @@ _LOOP_COLUMNS = ("x_r", "x_c", "x", "f_meas", "e", "kappa")
 # One loop row: the _LOOP_COLUMNS values of one step as native doubles.
 _LOOP_ROW = struct.Struct(f"{len(_LOOP_COLUMNS)}d")
 # The most steps a run may take, floor(duration / dt) + 1.  A run holds its
-# whole trace, 72 bytes a step, and on a noisy sensor its noise, 64 more.
+# whole trace, 72 bytes a step, and one BLOCK of noise: run_scenario peaks at
+# about 76 bytes a step and SimTrace.summary at about 82, 0.82 GB at most.
 MAX_STEPS = 10**7
 
 # the one controller tuning for every soil, whose stiffness it is not told
@@ -197,20 +198,23 @@ class SimTrace:
         kappa_final = float(self.kappa[-1])
         out["kappa_final"] = kappa_final
         out["stiffness_final"] = stiffness_estimate(kappa_final)
-        out["peak_force"] = float(np.abs(self.f_meas).max())
+        # |f_meas| reuses |e|'s buffer, so the summary holds one per-step float array
+        out["peak_force"] = float(np.abs(self.f_meas, out=abs_e).max())
         return out
 
 
 def _entry_time(t: np.ndarray, abs_e: np.ndarray, band: float) -> float:
     """First time from which |e| stays inside the band to the end; NaN if
     it never does."""
-    outside = np.flatnonzero(abs_e > band)
-    if outside.size == 0:
+    outside = abs_e > band
+    # one past the last step outside the band (argmax finds the first True
+    # of the reversed mask, or 0 if it has none), with no index array
+    entry = outside.size - int(outside[::-1].argmax())
+    if not outside[entry - 1]:
         return 0.0
-    last_out = outside[-1]
-    if last_out + 1 >= t.size:
+    if entry >= t.size:
         return math.nan
-    return float(t[last_out + 1])
+    return float(t[entry])
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimTrace:
@@ -235,11 +239,11 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     Divergence of either the filter or the adaptation law truncates the
     trace and sets the failure flag; it never raises.
 
-    The step loop calls no step function or sensor method: the run's
-    sensor noise comes from one SensorState.noise call before it, and the
-    math of environment_force, adaptation_step, position_reference,
-    impedance_step and robot_step is written out on local floats in their
-    operand order.
+    A step calls no step function or sensor method: the steps run BLOCK
+    at a time, each block's sensor noise comes from one SensorState.noise
+    call before it, and the math of environment_force, adaptation_step,
+    position_reference, impedance_step and robot_step is written out on
+    local floats in their operand order.
     A step records only the values the loop carries, _LOOP_COLUMNS; t,
     f_true and stiffness_est are computed from them after the loop by the
     same IEEE operations.  The tests hold every trace column equal, bit
@@ -247,10 +251,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     """
     n = int(math.floor(cfg.duration / cfg.dt)) + 1
     dt = cfg.dt
-    # the run's sensor noise, drawn before the loop; None for an exact sensor
-    noise = SensorState(cfg.sensor_model(), cfg.seed).noise(n, dt)
-    noisy = noise is not None
-    bias, white = noise if noisy else ((), ())
+    sensor = SensorState(cfg.sensor_model(), cfg.seed)
     mass, damping, stiffness = IMPEDANCE.mass, IMPEDANCE.damping, IMPEDANCE.stiffness
     drive_gain, drive_rate_gain = ADAPTATION.drive_gain, ADAPTATION.drive_rate_gain
     error_weight, error_rate_weight = ADAPTATION.error_weight, ADAPTATION.error_rate_weight
@@ -274,7 +275,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     # the buffer is never grown or copied, and a step builds no row tuple.
     rows = bytearray(_LOOP_ROW.size * n)
     pack, row_size = _LOOP_ROW.pack_into, _LOOP_ROW.size
-    last = n - 1
+    offset, end = 0, len(rows)  # the next row's offset in rows, and the last one's end
     reason = ""
     # The divergence guards test only the states that turn non-finite first.
     # In the adaptation update each of error_lp, q_lp and kappa_accel feeds
@@ -290,83 +291,91 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         x_ref = steady_state_reference(setpoint, k_env, surface)
     in_contact = cfg.fixed_reference
     tare_sum, tare_count = 0.0, 0
-    for i in range(n):
-        depth = x - surface_true
-        f_true = k_env * depth if depth > 0.0 else 0.0
-        f_meas = f_true + bias[i] + white[i] if noisy else f_true
-        if in_contact:
-            e = e_ctrl = setpoint - (f_meas - tare)
-            if adapting:
-                error_lp = error_lp + lp_gain * (e - error_lp)
-                e_rate = (e - error_lp) / tau
-                q = error_weight * e + error_rate_weight * e_rate
-                q_lp = q_lp + lp_gain * (q - q_lp)
-                q_rate = (q - q_lp) / tau
-                drive = drive_gain * q + drive_rate_gain * q_rate
-                jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
-                kappa_accel = kappa_accel + dt * jerk
-                kappa_rate = kappa_rate + dt * kappa_accel
-                kappa = kappa + dt * kappa_rate
-                if kappa < 0.0:
-                    kappa = 0.0
-                if not (isfinite(kappa) and isfinite(kappa_rate)):
-                    reason = "adaptation diverged"
-                    del rows[i * row_size:]  # keep the steps recorded before this one
-                    break
-                x_ref = kappa * setpoint + surface
-                ref_rate = kappa_rate * setpoint
-        else:
-            remaining = surface - x_ref
-            if remaining > decel_band:
-                tare_sum += f_meas
-                tare_count += 1
-                tare = tare_sum / tare_count
-            f_tared = f_meas - tare
-            e = setpoint - f_tared
-            # spurious far-field readings (sensor noise) must not trigger
-            # the handover, hence the within-band requirement
-            if abs(f_tared) >= threshold and remaining <= decel_band:
-                in_contact = True
-                # the differentiators start from the current error, so the
-                # first adaptation step sees no derivative kick
-                error_lp, q_lp = e, error_weight * e
-                e_ctrl = e
-                x_ref = kappa * setpoint + surface
-                ref_rate = 0.0
+    # Each block's noise continues the one sensor stream (None for an exact
+    # sensor), so a run holds one block of noise, not the whole run's.
+    for start in range(0, n, BLOCK):
+        k = min(BLOCK, n - start)
+        noise = sensor.noise(k, dt)
+        noisy = noise is not None
+        bias, white = noise if noisy else ((), ())
+        for j in range(k):
+            depth = x - surface_true
+            f_true = k_env * depth if depth > 0.0 else 0.0
+            f_meas = f_true + bias[j] + white[j] if noisy else f_true
+            if in_contact:
+                e = e_ctrl = setpoint - (f_meas - tare)
+                if adapting:
+                    error_lp = error_lp + lp_gain * (e - error_lp)
+                    e_rate = (e - error_lp) / tau
+                    q = error_weight * e + error_rate_weight * e_rate
+                    q_lp = q_lp + lp_gain * (q - q_lp)
+                    q_rate = (q - q_lp) / tau
+                    drive = drive_gain * q + drive_rate_gain * q_rate
+                    jerk = (drive - stiffness * kappa_rate - damping * kappa_accel) / mass
+                    kappa_accel = kappa_accel + dt * jerk
+                    kappa_rate = kappa_rate + dt * kappa_accel
+                    kappa = kappa + dt * kappa_rate
+                    if kappa < 0.0:
+                        kappa = 0.0
+                    if not (isfinite(kappa) and isfinite(kappa_rate)):
+                        reason = "adaptation diverged"
+                        del rows[offset:]  # keep the steps recorded before this one
+                        break
+                    x_ref = kappa * setpoint + surface
+                    ref_rate = kappa_rate * setpoint
             else:
-                # full speed far out, a linear taper across the deceleration
-                # band, and a slow touch speed from there on (also past the
-                # detected surface, until contact actually fires)
-                e_ctrl = 0.0
-                if remaining >= decel_band:
-                    ref_rate = approach_speed
+                remaining = surface - x_ref
+                if remaining > decel_band:
+                    tare_sum += f_meas
+                    tare_count += 1
+                    tare = tare_sum / tare_count
+                f_tared = f_meas - tare
+                e = setpoint - f_tared
+                # spurious far-field readings (sensor noise) must not trigger
+                # the handover, hence the within-band requirement
+                if abs(f_tared) >= threshold and remaining <= decel_band:
+                    in_contact = True
+                    # the differentiators start from the current error, so the
+                    # first adaptation step sees no derivative kick
+                    error_lp, q_lp = e, error_weight * e
+                    e_ctrl = e
+                    x_ref = kappa * setpoint + surface
+                    ref_rate = 0.0
                 else:
-                    ref_rate = max(contact_speed, approach_speed * remaining / decel_band)
-                x_ref = x_ref + ref_rate * dt
-        pack(rows, i * row_size, x_ref, x_c, x, f_meas, e, kappa)
-        if i == last:
-            break
-        # impedance_step adds the reference acceleration 0.0 here, which
-        # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
-        # only when both terms are, so v_c + dt * a_c is the same either way
-        a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
-        v_c = v_c + dt * a_c
-        x_c = x_c + dt * v_c
-        if not isfinite(x_c):
-            reason = "filter diverged"
-            del rows[(i + 1) * row_size:]  # this step's row is recorded
-            break
-        if lagged:
-            x = x + (x_c - x) * lag
-            # ScenarioConfig keeps the start finite, so only the lag can make x non-finite
-            if not isfinite(x):
-                raise ValueError("probe position must be finite")
+                    # full speed far out, a linear taper across the deceleration
+                    # band, and a slow touch speed from there on (also past the
+                    # detected surface, until contact actually fires)
+                    e_ctrl = 0.0
+                    if remaining >= decel_band:
+                        ref_rate = approach_speed
+                    else:
+                        ref_rate = max(contact_speed, approach_speed * remaining / decel_band)
+                    x_ref = x_ref + ref_rate * dt
+            pack(rows, offset, x_ref, x_c, x, f_meas, e, kappa)
+            offset += row_size
+            if offset == end:
+                break
+            # impedance_step adds the reference acceleration 0.0 here, which
+            # only turns a -0.0 into 0.0: v_c starts at 0.0 and a sum is -0.0
+            # only when both terms are, so v_c + dt * a_c is the same either way
+            a_c = (e_ctrl - damping * (v_c - ref_rate) - stiffness * (x_c - x_ref)) / mass
+            v_c = v_c + dt * a_c
+            x_c = x_c + dt * v_c
+            if not isfinite(x_c):
+                reason = "filter diverged"
+                del rows[offset:]  # this step's row is recorded
+                break
+            if lagged:
+                x = x + (x_c - x) * lag
+                # ScenarioConfig keeps the start finite, so only the lag can make x non-finite
+                if not isfinite(x):
+                    raise ValueError("probe position must be finite")
+            else:
+                x = x_c
         else:
-            x = x_c
+            continue
+        break  # the run ended within this block
 
-    # the noise is freed before the columns below are made, so that they
-    # fit within the loop's memory peak
-    del noise, bias, white
     x_ref, x_c, x, f_meas, e, kappa = np.frombuffer(rows).reshape(-1, len(_LOOP_COLUMNS)).T
     m = x.size
     # The other columns by the loop's IEEE operations: i * dt, k_env * depth
@@ -434,9 +443,10 @@ def summary_statistics(summaries) -> dict:
         stats: dict[str, dict] = {"runs": len(runs)}
         for metric in RUN_METRICS:
             vals = np.array([s[metric] for s in runs], dtype=float)
+            mean, std = _mean_std(vals)
             entry = {
-                "mean": float(np.mean(vals)),
-                "std": float(np.std(vals)),
+                "mean": mean,
+                "std": std,
                 "min": float(np.min(vals)),
                 "max": float(np.max(vals)),
             }
@@ -446,6 +456,27 @@ def summary_statistics(summaries) -> dict:
             stats[metric] = entry
         out[kind] = stats
     return out
+
+
+def _mean_std(vals: np.ndarray) -> tuple[float, float]:
+    """np.mean and np.std of vals.  Where one of them is not finite on finite
+    vals (a sum or a squared deviation past the largest float), it is taken
+    of vals scaled exactly by a power of two to below 1 in magnitude, then
+    scaled back within the bounds the true value keeps, the mean within
+    [min, max] and the std within max |vals|, so rounding cannot overflow."""
+    # a sum that overflows both ways is inf - inf, hence invalid too
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(np.mean(vals)), float(np.std(vals))
+    if (math.isfinite(mean) and math.isfinite(std)) or not np.isfinite(vals).all():
+        return mean, std
+    exp = math.frexp(float(np.abs(vals).max()))[1]
+    scaled = np.ldexp(vals, -exp)
+    lo, hi = float(scaled.min()), float(scaled.max())
+    if not math.isfinite(mean):
+        mean = math.ldexp(min(max(float(np.mean(scaled)), lo), hi), exp)
+    if not math.isfinite(std):
+        std = math.ldexp(min(float(np.std(scaled)), max(-lo, hi)), exp)
+    return mean, std
 
 
 def format_run_statistics(stats: dict) -> str:

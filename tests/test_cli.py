@@ -436,6 +436,21 @@ def test_bench_statistics(tmp_path):
     assert any(line.startswith("moist.kappa_final.mean=") for line in lines)
 
 
+def test_bench_statistics_of_huge_finite_values_are_finite(tmp_path, capsys):
+    # dt = 0.003 overflows no step, but every run peaks at 2.33e176 N, and a
+    # plain np.std squares their mean's rounding residue past the largest float
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("dt = 0.003\nduration = 10\n")
+    out = tmp_path / "stats.txt"
+    assert run("bench", "--config", str(cfg), "--scenario", "moist", "--repeats", "3",
+               "--out", str(out)) == 0
+    assert "Warning" not in capsys.readouterr().err
+    stats = dict(line.split("=") for line in out.read_text().splitlines())
+    for metric in ("peak_force", "steady_state_error"):
+        assert float(stats[f"moist.{metric}.mean"]) > 1e176
+        assert 0.0 <= float(stats[f"moist.{metric}.std"]) < 1e-15 * 1e177
+
+
 def test_bench_divergence_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("duration = 5\ndt = 0.008\n")

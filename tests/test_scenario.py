@@ -1,5 +1,6 @@
 import hashlib
 import math
+import statistics
 import tracemalloc
 import typing
 
@@ -27,6 +28,7 @@ from soilprobe.scenario import (
     CONTACT_SPEED,
     DECEL_BAND,
     MAX_STEPS,
+    RUN_METRICS,
     SCENARIO_KINDS,
     SCENARIO_STIFFNESS,
     TRACE_COLUMNS,
@@ -36,6 +38,7 @@ from soilprobe.scenario import (
     run_scenario,
     scenario_preset,
     summarize_runs,
+    summary_statistics,
     trace_to_csv,
 )
 
@@ -492,6 +495,30 @@ def test_trace_to_csv_renders_a_chunk_at_a_time():
         assert peak < 2.1 * len(text), kind
 
 
+def test_a_noisy_run_and_its_summary_peak_per_step():
+    # The loop draws the noise one BLOCK of steps at a time, so a noisy run
+    # peaks at its 48-byte loop rows plus the derived columns and masks:
+    # 75.4 B/step, against 112.1 when it drew the whole run's noise first.
+    # The summary adds one per-step float array and two masks to the
+    # 72-byte trace: 10 B/step, against 16 and an index array before.
+    noise = dict(bias_amplitude=0.3, bias_drift_rate=0.2, white_noise_std=0.02)
+    run_scenario(scenario_preset("moist", duration=0.01, **noise)).summary()
+    cfg = scenario_preset("moist", duration=100.0, seed=3, **noise)
+    tracemalloc.start()
+    try:
+        trace = run_scenario(cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        trace.summary()
+        summary_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 100_001
+    assert run_peak < 85 * len(trace)
+    assert summary_peak < 12 * len(trace)
+
+
 def test_summary_contents():
     summary = run_scenario(scenario_preset("dry", duration=10.0)).summary()
     for key in ("scenario", "env_stiffness", "force_setpoint", "duration", "dt",
@@ -534,6 +561,22 @@ def test_summarize_groups_by_kind():
 def test_summarize_empty_errors():
     with pytest.raises(ValueError, match="no traces to summarize"):
         summarize_runs([])
+
+
+@pytest.mark.parametrize("values", [
+    [2.3297829988441195e176] * 3,  # the mean's rounding residue squares past the largest float
+    [1.5e308, 1.7e308, 1.79e308],  # the sum overflows
+    [-1.79e308, 1.79e308],  # the squared deviations overflow
+    [1.7e308, 1.7e308, -1.7e308, -1.7e308],  # the sum is inf - inf
+], ids=["equal", "sum", "spread", "cancel"])
+def test_statistics_of_huge_finite_values_are_finite(values):
+    # pytest turns numpy's overflow warning into an error
+    runs = [{"scenario": "moist", **dict.fromkeys(RUN_METRICS, v)} for v in values]
+    entry = summary_statistics(runs)["moist"]["peak_force"]
+    assert entry["mean"] == pytest.approx(statistics.mean(values), rel=1e-15)
+    assert entry["std"] == pytest.approx(statistics.pstdev(values), rel=1e-15,
+                                         abs=1e-15 * max(values))
+    assert (entry["min"], entry["max"]) == (min(values), max(values))
 
 
 def test_run_statistics_text_is_deterministic():
