@@ -11,7 +11,6 @@ from .adaptation import (
 from .cloud import (
     PointCloud,
     WorkspaceBounds,
-    cloud_from_text,
     load_cloud,
     save_cloud,
     workspace_filter,

@@ -398,12 +398,12 @@ def load_cloud(path) -> PointCloud:
             # (0-based for a bad number, 1-based for a short line): parse again
             # line by line, so a malformed file fails with an error naming its line.
             with _open_by_suffix(path, "rt") as f:
-                return cloud_from_text(f.read())
+                return _cloud_from_text(f.read())
         except (EOFError, lzma.LZMAError) as err:  # a truncated or foreign compressed stream
             raise ValueError(f"{os.fspath(path)}: {err}") from None
 
 
-def cloud_from_text(text: str) -> PointCloud:
+def _cloud_from_text(text: str) -> PointCloud:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

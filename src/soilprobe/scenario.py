@@ -23,12 +23,12 @@ TRACE_COLUMNS = ("t", "x_r", "x_c", "x", "f_true", "f_meas", "e", "kappa", "stif
 RUN_METRICS = ("kappa_final", "settling_time", "steady_state_error", "peak_force")
 # The trace columns the step loop carries from step to step; run_scenario
 # computes the others from them after the loop.
-_LOOP_COLUMNS = ("x_r", "x_c", "x", "f_meas", "e", "kappa")
+_LOOP_COLUMNS = ("x_r", "x_c", "f_meas", "e", "kappa")
 # One loop row: the _LOOP_COLUMNS values of one step as native doubles.
 _LOOP_ROW = struct.Struct(f"{len(_LOOP_COLUMNS)}d")
 # The most steps a run may take, floor(duration / dt) + 1.  A run holds its
-# whole trace, 72 bytes a step, and one BLOCK of noise: run_scenario peaks at
-# about 76 bytes a step and SimTrace.summary at about 82, 0.82 GB at most.
+# whole trace, 64 bytes a step, and one BLOCK of noise: run_scenario peaks at
+# about 68 bytes a step and SimTrace.summary at about 74, 0.74 GB at most.
 MAX_STEPS = 10**7
 
 # the one controller tuning for every soil, whose stiffness it is not told
@@ -41,14 +41,19 @@ APPROACH_SPEED = 0.02
 CONTACT_SPEED = 5e-4
 # the distance above the detected surface over which it slows down, in m
 DECEL_BAND = 2e-3
+# the tared measured force, in N, at which the probe hands over to force control
+CONTACT_THRESHOLD = 0.2
+# the robot follows its command exactly: the probe position x is x_c
+_ROBOT = RobotModel(0.0)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete, flat description of one probing run; every field can be
-    set from a config file.  The controller tuning and the approach speeds
-    are this module's constants IMPEDANCE, ADAPTATION, APPROACH_SPEED,
-    CONTACT_SPEED and DECEL_BAND.
+    set from a config file.  The controller tuning, the approach speeds
+    and the handover force are this module's constants IMPEDANCE,
+    ADAPTATION, APPROACH_SPEED, CONTACT_SPEED, DECEL_BAND and
+    CONTACT_THRESHOLD, and the robot follows its command exactly.
     """
 
     scenario: str = "custom"
@@ -59,14 +64,12 @@ class ScenarioConfig:
     duration: float = 10.0
     dt: float = 1e-3
     seed: int = 0
-    # sensing and robot tracking
+    # sensing
     bias_amplitude: float = 0.0
     bias_drift_rate: float = 0.0
     white_noise_std: float = 0.0
-    tracking_tau: float = 0.0
     # approach phase
     approach_height: float = 0.05
-    contact_threshold: float = 0.2
     # hold the known-stiffness reference instead of adapting
     fixed_reference: bool = False
 
@@ -108,17 +111,13 @@ class ScenarioConfig:
         if not math.isfinite(self.surface_detected - self.approach_height):
             raise ValueError("surface_detected - approach_height must be finite")
         # the probe hands over to force control once the measured force
-        # reaches contact_threshold, so it must lie below a positive setpoint
-        if self.force_setpoint <= 0:
-            raise ValueError("force_setpoint must be positive")
-        if self.contact_threshold < 0:
-            raise ValueError("contact_threshold must be non-negative")
-        if self.contact_threshold >= self.force_setpoint:
-            raise ValueError("contact_threshold must be below force_setpoint")
+        # reaches CONTACT_THRESHOLD, so the setpoint must lie above it
+        if self.force_setpoint <= CONTACT_THRESHOLD:
+            raise ValueError(f"force_setpoint must be above "
+                             f"CONTACT_THRESHOLD = {CONTACT_THRESHOLD}")
         # instantiating the component models validates the remaining fields
         self.environment_model()
         self.sensor_model()
-        self.robot_model()
 
     def impedance_params(self) -> ImpedanceParams:
         return IMPEDANCE
@@ -133,7 +132,7 @@ class ScenarioConfig:
         return SensorModel(self.bias_amplitude, self.bias_drift_rate, self.white_noise_std)
 
     def robot_model(self) -> RobotModel:
-        return RobotModel(self.tracking_tau)
+        return _ROBOT
 
 
 # the fields that ScenarioConfig stores as Python floats
@@ -156,9 +155,10 @@ def scenario_preset(name: str, **overrides) -> ScenarioConfig:
 class SimTrace:
     """Uniformly sampled run record plus a derived summary.
 
-    stiffness_est is the guarded reciprocal of kappa and reads +inf while
-    the estimate is at the rigid floor.  A run that tripped the divergence
-    guards is truncated and flagged instead of raising.
+    x, the probe position, is x_c's array: the robot follows its command
+    exactly.  stiffness_est is the guarded reciprocal of kappa and reads
+    +inf while the estimate is at the rigid floor.  A run that tripped the
+    divergence guards is truncated and flagged instead of raising.
     """
 
     config: ScenarioConfig
@@ -223,7 +223,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     Phases: (1) approach — the reference descends from approach_height
     above the detected surface with no force feedback, decelerating to a
     slow touch speed near the surface and creeping past it until the
-    measured force reaches contact_threshold; (2) force — the tracking
+    measured force reaches CONTACT_THRESHOLD; (2) force — the tracking
     error drives the impedance filter, and the compliance estimate adapts
     from zero, shaping the reference thereafter.  Touching down slowly is
     what keeps a rigid collision within the safety bound.
@@ -242,12 +242,15 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     A step calls no step function or sensor method: the steps run BLOCK
     at a time, each block's sensor noise comes from one SensorState.noise
     call before it, and the math of environment_force, adaptation_step,
-    position_reference, impedance_step and robot_step is written out on
-    local floats in their operand order.
+    position_reference and impedance_step is written out on local floats
+    in their operand order.  The robot follows its command exactly
+    (robot_step with robot_model() returns x_c), so the probe position is
+    x_c.
     A step records only the values the loop carries, _LOOP_COLUMNS; t,
     f_true and stiffness_est are computed from them after the loop by the
-    same IEEE operations.  The tests hold every trace column equal, bit
-    for bit, to a loop that calls those functions and SensorState.read.
+    same IEEE operations, and x is x_c's column.  The tests hold every
+    trace column equal, bit for bit, to a loop that calls those functions,
+    robot_step and SensorState.read.
     """
     n = int(math.floor(cfg.duration / cfg.dt)) + 1
     dt = cfg.dt
@@ -259,15 +262,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     lp_gain = dt / (tau + dt)  # the dirty derivatives' low-pass gain
     k_env, surface_true = cfg.env_stiffness, cfg.surface_true
     setpoint, surface = cfg.force_setpoint, cfg.surface_detected
-    decel_band, threshold = DECEL_BAND, cfg.contact_threshold
+    decel_band, threshold = DECEL_BAND, CONTACT_THRESHOLD
     approach_speed, contact_speed = APPROACH_SPEED, CONTACT_SPEED
-    # branch on tau itself: a huge tau can round the lag factor to 0
-    lagged = cfg.tracking_tau != 0.0
-    lag = 1.0 - math.exp(-dt / cfg.tracking_tau) if lagged else 0.0
     adapting = not cfg.fixed_reference
     isfinite = math.isfinite
 
-    x = x_c = x_ref = surface - cfg.approach_height
+    x_c = x_ref = surface - cfg.approach_height
     v_c = ref_rate = 0.0
     kappa = kappa_rate = kappa_accel = error_lp = q_lp = 0.0
     tare = 0.0
@@ -299,7 +299,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         noisy = noise is not None
         bias, white = noise if noisy else ((), ())
         for j in range(k):
-            depth = x - surface_true
+            depth = x_c - surface_true
             f_true = k_env * depth if depth > 0.0 else 0.0
             f_meas = f_true + bias[j] + white[j] if noisy else f_true
             if in_contact:
@@ -351,7 +351,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                     else:
                         ref_rate = max(contact_speed, approach_speed * remaining / decel_band)
                     x_ref = x_ref + ref_rate * dt
-            pack(rows, offset, x_ref, x_c, x, f_meas, e, kappa)
+            pack(rows, offset, x_ref, x_c, f_meas, e, kappa)
             offset += row_size
             if offset == end:
                 break
@@ -365,19 +365,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
                 reason = "filter diverged"
                 del rows[offset:]  # this step's row is recorded
                 break
-            if lagged:
-                x = x + (x_c - x) * lag
-                # ScenarioConfig keeps the start finite, so only the lag can make x non-finite
-                if not isfinite(x):
-                    raise ValueError("probe position must be finite")
-            else:
-                x = x_c
         else:
             continue
         break  # the run ended within this block
 
-    x_ref, x_c, x, f_meas, e, kappa = np.frombuffer(rows).reshape(-1, len(_LOOP_COLUMNS)).T
-    m = x.size
+    x_ref, x_c, f_meas, e, kappa = np.frombuffer(rows).reshape(-1, len(_LOOP_COLUMNS)).T
+    m = x_c.size
     # The other columns by the loop's IEEE operations: i * dt, k_env * depth
     # where depth > 0.0 (else 0.0), and 1.0 / kappa where kappa >
     # COMPLIANCE_FLOOR (else inf).  Each is made in place by plain array
@@ -387,13 +380,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     t *= dt
     # an overflow gives inf, as in the loop, or an entry the masks replace
     with np.errstate(over="ignore", divide="ignore"):
-        f_true = x - surface_true
+        f_true = x_c - surface_true
         outside = ~(f_true > 0.0)
         f_true *= k_env
         f_true[outside] = 0.0
         stiffness_est = 1.0 / kappa
     stiffness_est[~(kappa > COMPLIANCE_FLOOR)] = math.inf
-    return SimTrace(cfg, t, x_ref, x_c, x, f_true, f_meas, e, kappa, stiffness_est,
+    return SimTrace(cfg, t, x_ref, x_c, x_c, f_true, f_meas, e, kappa, stiffness_est,
                     failed=bool(reason), failure_reason=reason)
 
 
@@ -459,23 +452,20 @@ def summary_statistics(summaries) -> dict:
 
 
 def _mean_std(vals: np.ndarray) -> tuple[float, float]:
-    """np.mean and np.std of vals.  Where one of them is not finite on finite
-    vals (a sum or a squared deviation past the largest float), it is taken
-    of vals scaled exactly by a power of two to below 1 in magnitude, then
-    scaled back within the bounds the true value keeps, the mean within
-    [min, max] and the std within max |vals|, so rounding cannot overflow."""
-    # a sum that overflows both ways is inf - inf, hence invalid too
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = float(np.mean(vals)), float(np.std(vals))
-    if (math.isfinite(mean) and math.isfinite(std)) or not np.isfinite(vals).all():
-        return mean, std
+    """np.mean and np.std of vals.  Finite vals are scaled exactly by a power
+    of two to below 1 in magnitude first, so no sum or squared deviation
+    overflows or underflows where the statistic itself does not, and the
+    results are scaled back within the bounds the true values keep: the
+    mean within [min, max], the std within max |vals|, and 0 for equal vals."""
+    if not np.isfinite(vals).all():
+        # inf beside -inf is inf - inf, and the finite vals may still overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.mean(vals)), float(np.std(vals))
     exp = math.frexp(float(np.abs(vals).max()))[1]
     scaled = np.ldexp(vals, -exp)
     lo, hi = float(scaled.min()), float(scaled.max())
-    if not math.isfinite(mean):
-        mean = math.ldexp(min(max(float(np.mean(scaled)), lo), hi), exp)
-    if not math.isfinite(std):
-        std = math.ldexp(min(float(np.std(scaled)), max(-lo, hi)), exp)
+    mean = math.ldexp(min(max(float(np.mean(scaled)), lo), hi), exp)
+    std = 0.0 if lo == hi else math.ldexp(min(float(np.std(scaled)), max(-lo, hi)), exp)
     return mean, std
 
 

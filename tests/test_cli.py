@@ -17,6 +17,7 @@ from soilprobe.cli import DETECT_TYPES, PIPELINE_TYPES, main
 from soilprobe.cloud import PointCloud, save_cloud
 from soilprobe.config import SCENARIO_TYPES, load_scenario_config
 from soilprobe.scenario import (
+    CONTACT_THRESHOLD,
     MAX_STEPS,
     ScenarioConfig,
     format_run_statistics,
@@ -174,11 +175,11 @@ def config_faults(types: dict) -> dict:
     }
     for key in types:
         faults[f"{key} =\n"] = f"invalid value for '{key}': ''"
-    # the controller tuning and the approach speeds are constants of
-    # soilprobe.scenario, not keys
+    # the controller tuning, the approach speeds and the contact threshold
+    # are constants of soilprobe.scenario, and the robot has no lag: not keys
     for key in ("mass", "damping", "stiffness", "drive_gain", "drive_rate_gain", "error_weight",
                 "error_rate_weight", "deriv_filter_tau", "approach_speed", "contact_speed",
-                "decel_band"):
+                "decel_band", "contact_threshold", "tracking_tau"):
         faults[f"{key} = 1\n"] = f"unknown config key: '{key}'"
     if "scenario" in types:
         faults["scenario = muddy\n"] = \
@@ -309,8 +310,6 @@ def test_non_finite_config_exits_1(tmp_path, capsys):
                        ("duration = 1e300\ndt = 1e-10", "duration / dt"),
                        ("dt = nan", "dt"),
                        ("surface_detected = nan", "surface_detected"),
-                       ("tracking_tau = nan", "tracking_tau"),
-                       ("contact_threshold = nan", "contact_threshold"),
                        ("surface_true = inf", "surface_true"),
                        ("surface_detected = -1.7e308\napproach_height = 1e308",
                         "surface_detected - approach_height")):
@@ -318,6 +317,12 @@ def test_non_finite_config_exits_1(tmp_path, capsys):
         capsys.readouterr()
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1, text
         assert f"error: {name} must be finite" in capsys.readouterr().err, text
+    # the keys of removed fields are unknown, whatever their value
+    for key in ("tracking_tau", "contact_threshold"):
+        cfg.write_text(f"{key} = nan\n")
+        capsys.readouterr()
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == 1, key
+        assert capsys.readouterr().err == f"error: unknown config key: '{key}'\n", key
 
 
 @pytest.mark.parametrize("command", ["simulate", "bench"])
@@ -347,13 +352,19 @@ def test_too_many_steps_exit_1_before_any_run(tmp_path, capsys, monkeypatch, com
     assert not out.exists()
 
 
+SETPOINT_AT_OR_BELOW = f"force_setpoint must be above CONTACT_THRESHOLD = {CONTACT_THRESHOLD}"
+
+
 @pytest.mark.parametrize("command", ["simulate", "bench"])
 @pytest.mark.parametrize("text, message", [
-    ("force_setpoint = -5", "force_setpoint must be positive"),
-    ("force_setpoint = 0", "force_setpoint must be positive"),
-    ("force_setpoint = 1e-9", "contact_threshold must be below force_setpoint"),
-    ("contact_threshold = 50", "contact_threshold must be below force_setpoint"),
-], ids=["setpoint-negative", "setpoint-zero", "setpoint-below-threshold", "threshold-above-setpoint"])
+    ("force_setpoint = -5", SETPOINT_AT_OR_BELOW),
+    ("force_setpoint = 0", SETPOINT_AT_OR_BELOW),
+    ("force_setpoint = 1e-9", SETPOINT_AT_OR_BELOW),
+    (f"force_setpoint = {CONTACT_THRESHOLD}", SETPOINT_AT_OR_BELOW),
+    # the threshold is a constant, so no file can raise it above the setpoint
+    ("contact_threshold = 50", "unknown config key: 'contact_threshold'"),
+], ids=["setpoint-negative", "setpoint-zero", "setpoint-below-threshold", "setpoint-at-threshold",
+        "threshold-above-setpoint"])
 def test_setpoint_at_or_below_the_contact_threshold_exits_1(tmp_path, capsys, monkeypatch, command,
                                                             text, message):
     # Without these checks each of these moist runs ended its 10 s with

@@ -41,9 +41,11 @@ def test_scenario_from_text(write):
 def test_unknown_key_is_named(write):
     with pytest.raises(ConfigError, match="unknown config key: 'stifness'"):
         load_scenario_config(write("stifness = 100\n"))
-    # the controller tuning is scenario.py's constants, not config keys
-    with pytest.raises(ConfigError, match="unknown config key: 'damping'"):
-        load_scenario_config(write("damping = 700\n"))
+    # the controller tuning and the contact threshold are scenario.py's
+    # constants, and the robot has no lag: none of them is a config key
+    for key in ("damping", "contact_threshold", "tracking_tau"):
+        with pytest.raises(ConfigError, match=f"^unknown config key: '{key}'$"):
+            load_scenario_config(write(f"{key} = 0.5\n"))
 
 
 def test_invalid_values_are_named(write):
@@ -61,8 +63,9 @@ def test_semantic_errors_become_config_errors(write):
         load_scenario_config(write("scenario = muddy\n"))
     with pytest.raises(ConfigError):
         load_scenario_config(write("duration = -1\n"))
-    with pytest.raises(ConfigError, match="tracking_tau must be non-negative"):
-        load_scenario_config(write("tracking_tau = -1\n"))
+    with pytest.raises(ConfigError, match="^force_setpoint must be above "
+                                          "CONTACT_THRESHOLD = 0.2$"):
+        load_scenario_config(write("force_setpoint = 0.1\n"))
 
 
 def test_overrides_beat_file_values(write):

@@ -6,7 +6,7 @@ import typing
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from soilprobe.adaptation import (
@@ -26,6 +26,7 @@ from soilprobe.impedance import (
 from soilprobe.scenario import (
     APPROACH_SPEED,
     CONTACT_SPEED,
+    CONTACT_THRESHOLD,
     DECEL_BAND,
     MAX_STEPS,
     RUN_METRICS,
@@ -63,18 +64,24 @@ def test_unknown_scenario_kind_rejected():
 
 
 def test_config_validation():
-    for bad in (dict(duration=0.0), dict(dt=-1e-3), dict(approach_height=-0.01),
-                dict(contact_threshold=-0.1)):
+    for bad in (dict(duration=0.0), dict(dt=-1e-3), dict(approach_height=-0.01)):
         with pytest.raises(ValueError):
             ScenarioConfig(**bad)
+    # the handover force is a constant, so the setpoint must lie above it
+    for setpoint in (-5.0, 0.0, CONTACT_THRESHOLD):
+        with pytest.raises(ValueError, match="^force_setpoint must be above "
+                                             f"CONTACT_THRESHOLD = {CONTACT_THRESHOLD}$"):
+            ScenarioConfig(force_setpoint=setpoint)
+    assert ScenarioConfig(force_setpoint=0.25).force_setpoint == 0.25
     with pytest.raises(ValueError, match="seed must be non-negative"):
         scenario_preset("moist", seed=-1)
 
 
 # The float fields in the order that numbers the non-finite cases, three to a
-# field. It still holds the controller tuning that is now the constants IMPEDANCE,
-# ADAPTATION, APPROACH_SPEED, CONTACT_SPEED and DECEL_BAND, so that each field's
-# cases kept their ids when the tuning left ScenarioConfig.
+# field. It still holds the fields that are now constants (the controller tuning
+# IMPEDANCE and ADAPTATION, APPROACH_SPEED, CONTACT_SPEED, DECEL_BAND and
+# CONTACT_THRESHOLD) and tracking_tau, whose robot lag is gone, so that each
+# remaining field's cases kept their ids when those left ScenarioConfig.
 NON_FINITE_ID_ORDER = [
     "env_stiffness", "force_setpoint", "surface_true", "surface_detected", "duration", "dt",
     "mass", "damping", "stiffness", "drive_gain", "drive_rate_gain", "error_weight",
@@ -219,7 +226,7 @@ def _reference_run(cfg):
                 adapt = adaptation_step(adapt, e, adp, imp, dt)
                 x_ref = position_reference(adapt.kappa, cfg.force_setpoint, cfg.surface_detected)
                 ref_rate = adapt.kappa_rate * cfg.force_setpoint
-            elif abs(f_tared) >= cfg.contact_threshold and remaining <= DECEL_BAND:
+            elif abs(f_tared) >= CONTACT_THRESHOLD and remaining <= DECEL_BAND:
                 in_force_phase = True
                 adapt = AdaptationState.initial(e, adp)
                 e_ctrl = e
@@ -283,7 +290,6 @@ def _run_matches_reference(cfg):
     pytest.param("rigid", dict(SHORT, seed=6, white_noise_std=0.02), id="rigid-white-only"),
     pytest.param("dry", dict(ONE_BLOCK, duration=(BLOCK - 1) * 2**-10), id="dry-noise-one-block"),
     pytest.param("dry", dict(ONE_BLOCK, duration=BLOCK * 2**-10), id="dry-noise-block-plus-one"),
-    pytest.param("dry", dict(SHORT, tracking_tau=5e-3), id="dry-tracking-lag"),
     pytest.param("moist", dict(SHORT, fixed_reference=True), id="moist-fixed-reference"),
     pytest.param("rigid", dict(SHORT, surface_detected=2e-3), id="rigid-detected-2mm-deep"),
     # a surface read 2 mm high is crept toward at contact_speed for 4 s
@@ -319,7 +325,7 @@ STEP_LOOP_DTS = (2**-10, 1e-3, 2**-9, 0.002, 0.004, 0.008, 0.009)
 @st.composite
 def step_loop_configs(draw):
     """A run of at most 500 steps: any kind, with or without criterion-09
-    noise, robot lag and the fixed reference."""
+    noise and the fixed reference."""
     dt = draw(st.sampled_from(STEP_LOOP_DTS))
     overrides = dict(
         dt=dt,
@@ -329,7 +335,6 @@ def step_loop_configs(draw):
         # a camera error of up to 2 mm either way
         surface_detected=draw(st.floats(-0.002, 0.002)),
         fixed_reference=draw(st.sampled_from([False, False, False, True])),
-        tracking_tau=draw(st.sampled_from([0.0, 1e-3, 0.05])),
         seed=draw(st.integers(0, 20)),
     )
     if draw(st.booleans()):
@@ -394,9 +399,6 @@ TRACE_DIGESTS = [
     pytest.param("moist", dict(fixed_reference=True),
                  "42e027eb113333a20d1ebaaf6d50aecea18044f80ff303b02acb3fffaa890edf",
                  id="moist-fixed-reference"),
-    pytest.param("dry", dict(tracking_tau=5e-3),
-                 "6833770ce13e2061164baae82ae5a7d15b86bf11db76cfcf279e7eabd477a6fd",
-                 id="dry-tracking-lag"),
 ]
 
 
@@ -497,10 +499,11 @@ def test_trace_to_csv_renders_a_chunk_at_a_time():
 
 def test_a_noisy_run_and_its_summary_peak_per_step():
     # The loop draws the noise one BLOCK of steps at a time, so a noisy run
-    # peaks at its 48-byte loop rows plus the derived columns and masks:
-    # 75.4 B/step, against 112.1 when it drew the whole run's noise first.
-    # The summary adds one per-step float array and two masks to the
-    # 72-byte trace: 10 B/step, against 16 and an index array before.
+    # peaks at its 40-byte loop rows plus the derived columns and masks:
+    # 67.7 B/step, against 75.7 with a sixth double for the probe position
+    # and 112.1 when it drew the whole run's noise first.  The summary adds
+    # one per-step float array and two masks to the 64-byte trace: 10
+    # B/step, against 16 and an index array before.
     noise = dict(bias_amplitude=0.3, bias_drift_rate=0.2, white_noise_std=0.02)
     run_scenario(scenario_preset("moist", duration=0.01, **noise)).summary()
     cfg = scenario_preset("moist", duration=100.0, seed=3, **noise)
@@ -515,7 +518,7 @@ def test_a_noisy_run_and_its_summary_peak_per_step():
     finally:
         tracemalloc.stop()
     assert len(trace) == 100_001
-    assert run_peak < 85 * len(trace)
+    assert run_peak < 72 * len(trace)
     assert summary_peak < 12 * len(trace)
 
 
@@ -577,6 +580,50 @@ def test_statistics_of_huge_finite_values_are_finite(values):
     assert entry["std"] == pytest.approx(statistics.pstdev(values), rel=1e-15,
                                          abs=1e-15 * max(values))
     assert (entry["min"], entry["max"]) == (min(values), max(values))
+
+
+@pytest.mark.parametrize("values", [
+    [1e-200, 2e-200],  # the squared deviations underflow to 0
+    [-1e-170, 2e-170, 4e-170],
+    [1e-300, 1e-300, 3e-300],
+], ids=["pair", "mixed-signs", "three"])
+def test_statistics_of_tiny_values_do_not_underflow(values):
+    runs = [{"scenario": "moist", **dict.fromkeys(RUN_METRICS, v)} for v in values]
+    entry = summary_statistics(runs)["moist"]["peak_force"]
+    # approx's default absolute tolerance, 1e-12, would pass any tiny value
+    assert entry["mean"] == pytest.approx(statistics.mean(values), rel=1e-15, abs=0.0)
+    assert entry["std"] == pytest.approx(statistics.pstdev(values), rel=1e-15, abs=0.0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(value=st.floats(allow_nan=False, allow_infinity=False), runs=st.integers(1, 8))
+@example(value=2.3297829988441195e176, runs=3)  # np.std reads 2.81e+160
+@example(value=-0.0, runs=2)
+def test_statistics_of_equal_values_have_no_spread(value, runs):
+    entry = summary_statistics([{"scenario": "moist", **dict.fromkeys(RUN_METRICS, value)}
+                                for _ in range(runs)])["moist"]["peak_force"]
+    assert (entry["mean"], entry["std"]) == (value, 0.0)
+
+
+def test_statistics_keep_the_sign_of_a_zero_mean():
+    for values in ([0.0, -0.0], [-0.0, 0.0]):
+        runs = [{"scenario": "moist", **dict.fromkeys(RUN_METRICS, v)} for v in values]
+        entry = summary_statistics(runs)["moist"]["peak_force"]
+        assert math.copysign(1.0, entry["mean"]) == math.copysign(1.0, np.mean(values))
+        assert entry["std"] == 0.0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(values=st.lists(st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+                       min_size=2, max_size=8))
+def test_statistics_of_ordinary_values_are_numpys(values):
+    # the scaling is exact, so away from the ends of the float range the
+    # statistics are np.mean's and np.std's bytes
+    assume(min(values) != max(values))
+    runs = [{"scenario": "moist", **dict.fromkeys(RUN_METRICS, v)} for v in values]
+    entry = summary_statistics(runs)["moist"]["peak_force"]
+    assert entry["mean"] == float(np.mean(values))
+    assert entry["std"] == float(np.std(values))
 
 
 def test_run_statistics_text_is_deterministic():
